@@ -2,7 +2,8 @@
 solver-vs-oracle spot checks.
 
 Exit codes: 0 success, 2 usage error, 3 timed out, 4 infeasible up to the
-depth cap, 5 oracle mismatch.
+depth cap, 5 oracle mismatch, 6 solver failure (an LP relaxation the
+solver could not solve).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_USAGE = 2
 EXIT_TIMED_OUT = 3
 EXIT_INFEASIBLE = 4
 EXIT_MISMATCH = 5
+EXIT_SOLVER = 6
 
 _MODE_NAMES = {"optimal": "optimal", "near-optimal": "near_optimal", "feasible": "feasible_first"}
 
@@ -276,6 +278,9 @@ def main(argv=None) -> int:
     except (inst_mod.InstanceError, noise.NoiseError, route.RouteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except solver.SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

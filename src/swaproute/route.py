@@ -21,6 +21,15 @@ class RouteError(ValueError):
     pass
 
 
+class PresolveIncomplete(RouteError):
+    """The single-team presolve ended without a depth; ``status`` says why
+    (``timed_out`` or ``infeasible_up_to_cap``)."""
+
+    def __init__(self, status):
+        super().__init__(f"single-team presolve did not complete: {status}")
+        self.status = status
+
+
 @dataclass(frozen=True)
 class RouteConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -87,15 +96,18 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     """Admissible depth bound from the single-team relaxation.
 
     Merging all teams can only shorten the optimal schedule, and the merged
-    instance solves orders of magnitude faster.
+    instance solves orders of magnitude faster.  It runs within
+    ``cfg.timeout`` and raises ``PresolveIncomplete`` when it runs out of time
+    or finds the merged instance infeasible up to the depth cap (which makes
+    the original instance infeasible up to the same cap).
     """
     cfg = cfg or RouteConfig()
     relaxed = merge_teams(inst)
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=replace(cfg.solver, mode="feasible_first"))
-    sol = _deepen(g, None, relaxed, sub, costs=_zero_costs(g))
+    sol = _deepen(g, None, relaxed, sub, costs=_ZeroCosts())
     if not sol.solved:
-        raise RouteError(f"single-team presolve did not complete: {sol.status}")
+        raise PresolveIncomplete(sol.status)
     return sol.depth
 
 
@@ -106,10 +118,6 @@ class _ZeroCosts:
 
     def movement_cost(self, i, j):
         return 0.0
-
-
-def _zero_costs(g):
-    return _ZeroCosts()
 
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:
@@ -142,7 +150,11 @@ def _deepen(g, emap, inst, cfg, costs):
     elif cfg.presolve == "dijkstra":
         bound = lower_bound_dijkstra(g, inst)
     else:
-        bound = lower_bound_single_team(g, inst, cfg)
+        try:
+            bound = lower_bound_single_team(g, inst, replace(cfg, timeout=remaining()))
+        except PresolveIncomplete as exc:
+            timings["presolve_s"] = time.monotonic() - t0
+            return _aborted(exc.status, None, timings, start)
     timings["presolve_s"] = time.monotonic() - t0
 
     def attempt(depth):

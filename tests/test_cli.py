@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from swaproute import cli
+from swaproute import cli, solver
 from swaproute.graph import build_grid
 from swaproute.instance import MqpfInstance, save_instance
 from swaproute.noise import save_error_map
@@ -144,3 +144,25 @@ def test_oracle_check_reproducible(capsys):
     _, out1, _ = run_cli(argv, capsys)
     _, out2, _ = run_cli(argv, capsys)
     assert out1 == out2
+
+
+def test_presolve_timeout_exit_code(capsys):
+    code, _, err = run_cli(["solve", "--layout", "grid:8x8", "--random", "8",
+                            "--seed", "2", "--noise-seed", "1002",
+                            "--presolve", "single_team", "--timeout", "0.01"], capsys)
+    assert code == 3
+    assert "timed_out" in err
+
+
+def test_solver_failure_exit_code(capsys, monkeypatch):
+    class FailingLp:
+        def __init__(self, model):
+            pass
+
+        def bound(self, values):
+            raise solver.SolverError("LP relaxation failed: Iteration limit reached")
+    monkeypatch.setattr(solver, "_relaxation", FailingLp)
+    code, _, err = run_cli(["solve", "--layout", "grid:4x4", "--random", "4",
+                            "--seed", "0"], capsys)
+    assert code == 6
+    assert "LP relaxation failed" in err

@@ -4,13 +4,15 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from swaproute import bilp, solver, texpand
 from swaproute.bilp import BilpModel, Row
 from swaproute.graph import build_grid
 from swaproute.instance import MqpfInstance, random_instance
-from swaproute.noise import movement_costs
-from swaproute.solver import SolverConfig, export_lp, solve
+from swaproute.noise import HERON, movement_costs, sample_error_map
+from swaproute.solver import SolverConfig, SolverError, export_lp, solve
 
 from conftest import uniform_error_map
 
@@ -69,6 +71,10 @@ def test_one_swap_objective():
 
 
 def test_solver_matches_brute_force():
+    check_brute_force_corpus()
+
+
+def check_brute_force_corpus():
     rng = np.random.default_rng(0)
     checked = 0
     for seed in range(60):
@@ -89,6 +95,113 @@ def test_solver_matches_brute_force():
             assert res.objective == pytest.approx(expect[0], abs=1e-9)
         checked += 1
     assert checked >= 20
+
+
+def cold_relaxation(model, values):
+    """Reference LP bound: rows assembled in Python, one cold ``linprog`` call."""
+    parts = {"=": ([], [], [], []), "<=": ([], [], [], [])}
+    for r in model.rows:
+        data, ri, ci, rhs = parts[r.rel]
+        for sign, vs in ((1.0, r.plus), (-1.0, r.minus)):
+            for v in vs:
+                data.append(sign)
+                ri.append(len(rhs))
+                ci.append(v)
+        rhs.append(r.rhs)
+
+    def matrix(rel):
+        data, ri, ci, rhs = parts[rel]
+        if not rhs:
+            return None, None
+        return sp.csr_matrix((data, (ri, ci)), shape=(len(rhs), model.var_count)), rhs
+
+    a_eq, b_eq = matrix("=")
+    a_ub, b_ub = matrix("<=")
+    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 else 1.0) for v in values]
+    res = linprog(model.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def desk_model():
+    """Criterion-10 seed 0 (8x8 grid, 8 qubits) at its optimal depth 7."""
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", 0)
+    costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
+    return bilp.build_model(texpand.trim(texpand.expand(g, inst, 7)), costs)
+
+
+def test_warm_relaxation_matches_cold_along_dive():
+    pytest.importorskip("scipy.optimize._highspy._core")
+    model = desk_model()
+    lp = solver._LpRelaxation(model)
+    values = np.full(model.var_count, -1, dtype=np.int8)
+    root = lp.bound(values)
+    assert root[0] == pytest.approx(cold_relaxation(model, values), rel=0, abs=1e-9)
+    # fixing variables to a root optimum's 0/1 values keeps that optimum feasible
+    x0 = root[1]
+    rng = np.random.default_rng(0)
+    ones = rng.permutation(np.flatnonzero(x0 > 1 - 1e-9))
+    zeros = rng.permutation(np.flatnonzero(x0 < 1e-9))
+    # two variables of one "<= 1" row set to 1 make a node infeasible
+    clash = next(r.plus[:2] for r in model.rows
+                 if r.rel == "<=" and r.rhs == 1 and not r.minus and len(r.plus) >= 2)
+    ones = [v for v in ones if v not in clash]
+    zeros = [v for v in zeros if v not in clash]
+    infeasible = 0
+    for step in range(20):
+        if step == 10:
+            values[list(clash)] = 1
+        elif step == 11:
+            values[list(clash)] = -1
+        elif step % 2:
+            values[ones[step]] = 1
+        else:
+            values[zeros[step]] = 0
+        warm, cold = lp.bound(values), cold_relaxation(model, values)
+        if cold is None:
+            assert warm is None
+            infeasible += 1
+        else:
+            assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
+    assert infeasible == 1
+
+
+def test_lp_failure_raises_solver_error():
+    pytest.importorskip("scipy.optimize._highspy._core")
+    g = build_grid(2, 2)
+    model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
+    lp = solver._LpRelaxation(model)
+    lp.highs.setOptionValue("simplex_iteration_limit", 0)
+    with pytest.raises(SolverError, match="LP relaxation failed"):
+        lp.bound(np.full(model.var_count, -1, dtype=np.int8))
+
+
+def test_warm_path_taken_when_highs_binding_present(monkeypatch):
+    pytest.importorskip("scipy.optimize._highspy._core")
+    g = build_grid(2, 2)
+    model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
+    assert isinstance(solver._relaxation(model), solver._LpRelaxation)
+
+    def no_cold_calls(*args, **kwargs):
+        raise AssertionError("the solver called linprog despite the HiGHS binding")
+    monkeypatch.setattr(solver, "linprog", no_cold_calls)
+    assert solve(model).status == "optimal"
+
+
+def test_cold_fallback_matches_brute_force(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(solver, "_highs", None)
+    monkeypatch.setattr(solver, "linprog", counted)
+    check_brute_force_corpus()
+    assert calls
 
 
 def test_determinism():
