@@ -1,24 +1,42 @@
 """Translate a (trimmed) time expansion into a binary integer linear program.
 
-All variables are binary and all constraint coefficients are +/-1.  Rows are
-emitted in a fixed order (constraint family, then timestep, then node/edge
-index) so a given expansion always produces a byte-identical model.
+All variables are binary and all coefficients +/-1.  A model is arrays: CSR
+rows (``indptr``, ``indices``, and ``signs`` with each row's +1 entries before
+its -1 entries), a per-row ``eq`` flag (``=``, else ``<=``) and ``rhs``.
+``build_model`` fills them with numpy gathers of the ``(K, T, M)`` trim mask
+through the movement tables of ``texpand.graph_tables``, built once per graph.
+Rows keep a fixed order (family, then timestep, team, node or edge) and so do
+variables (movements by team, timestep and movement, then attachments), so an
+expansion always gives a byte-identical model.  Names are never built for the
+solver: ``rows`` and ``var_ids`` are views derived on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-# Variable ids are tuples:
-#   ("move", k, t, i, j)  movement of a team-k qubit from i at t-1 to j at t
-#   ("src", k, i)         attachment edge from team k's source node to i
-#   ("dst", k, i)         attachment edge from i to team k's destination node
+# Variable kinds in ``BilpModel.var_keys[:, 0]`` (the other columns are
+# k, t, i, j) and the LP name each formats from its key:
+#   move  x_k{k}_t{t}_{i}_{j}  movement of a team-k qubit from i at t-1 to j at t
+#   src   s_k{k}_{i}           attachment edge from team k's source node to i
+#   dst   d_k{k}_{i}           attachment edge from i to team k's destination node
+MOVE, SRC, DST = 0, 1, 2
+_VAR_NAMES = ("x_k{1}_t{2}_{3}_{4}", "s_k{1}_{3}", "d_k{1}_{3}")
+
+# Row families in ``BilpModel.row_keys[:, 0]``, in emission order: the row
+# name each formats from the key's remaining columns, its relation and rhs.
+_FAMILIES = ("flow_src_k{}_{}", "flow_k{}_t{}_{}", "flow_dst_k{}_{}", "cap_t{}_{}_{}",
+             "srcflow_k{}_{}", "dstflow_k{}_{}", "excl_t{}_{}", "swap_t{}_{}_{}")
+FLOW_SRC, FLOW, FLOW_DST, CAP, SRCFLOW, DSTFLOW, EXCL, SWAP = range(len(_FAMILIES))
+_EQ = np.array([True, True, True, False, True, True, False, False])
+_RHS = np.array([0, 0, 0, 1, 1, 1, 1, 1])
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One sparse constraint row: sum(plus) - sum(minus) <rel> rhs."""
 
     name: str
@@ -30,20 +48,43 @@ class Row:
 
 @dataclass(frozen=True)
 class BilpModel:
+    """A routing BILP as arrays.  Every row has at least one nonzero."""
+
     var_count: int
-    objective: np.ndarray
-    rows: tuple
-    var_ids: tuple
-    var_index: dict = field(repr=False)
+    objective: np.ndarray  # float (n,)
+    var_keys: np.ndarray   # int32 (n, 5): kind, k, t, i, j (t = 0 and j = i on attachments)
+    indptr: np.ndarray     # int32 (rows + 1,)
+    indices: np.ndarray    # int32 (nonzeros,): variable ordinals, plus entries first per row
+    signs: np.ndarray      # int8 (nonzeros,): +1 or -1
+    eq: np.ndarray         # bool (rows,)
+    rhs: np.ndarray        # int64 (rows,)
+    row_keys: np.ndarray   # int32 (rows, 4): family, then the ints of the row's name
+
+    @property
+    def row_count(self) -> int:
+        return len(self.rhs)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows as named ``Row`` tuples: a view for LP export and tests."""
+        ind, ptr = self.indices.tolist(), self.indptr.tolist()
+        mid = self.indptr[:-1] + np.add.reduceat(self.signs > 0, self.indptr[:-1], dtype=int)
+        return tuple(Row(_FAMILIES[f].format(a, b, c), tuple(ind[lo:m]), tuple(ind[m:hi]),
+                         "=" if eq else "<=", rhs)
+                     for (f, a, b, c), eq, rhs, lo, m, hi in zip(
+                         self.row_keys.tolist(), self.eq.tolist(), self.rhs.tolist(),
+                         ptr, mid.tolist(), ptr[1:]))
+
+    @cached_property
+    def var_ids(self) -> tuple:
+        """("move", k, t, i, j), ("src", k, i) or ("dst", k, i) per variable."""
+        return tuple(("move", k, t, i, j) if kind == MOVE else
+                     ("src" if kind == SRC else "dst", k, i)
+                     for kind, k, t, i, j in self.var_keys.tolist())
 
     def var_name(self, ordinal: int) -> str:
-        vid = self.var_ids[ordinal]
-        if vid[0] == "move":
-            _, k, t, i, j = vid
-            return f"x_k{k}_t{t}_{i}_{j}"
-        if vid[0] == "src":
-            return f"s_k{vid[1]}_{vid[2]}"
-        return f"d_k{vid[1]}_{vid[2]}"
+        key = self.var_keys[ordinal].tolist()
+        return _VAR_NAMES[key[0]].format(*key)
 
 
 def build_model(teg, costs) -> BilpModel:
@@ -56,128 +97,89 @@ def build_model(teg, costs) -> BilpModel:
     (6) swap pairing: a move i->j excludes any move out of j that does not
     return to i.  Trivially satisfied rows are dropped.
     """
-    g, inst, depth = teg.graph, teg.instance, teg.depth
-    n_teams = inst.team_count
+    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
+    n_teams, n_nodes, n_moves = inst.team_count, g.node_count, len(tab.moves)
 
-    var_ids = []
-    var_index = {}
-    obj = []
+    # ordinal of each (k, t, m) movement variable, -1 where masked out; the
+    # extra column m = n_moves is the padding index of the movement tables
+    k_of, t_of, m_of = np.nonzero(teg.mask)
+    n_move_vars = len(m_of)
+    var_of = np.full((n_teams, depth, n_moves + 1), -1, dtype=np.int32)
+    var_of[k_of, t_of, m_of] = np.arange(n_move_vars)
+    att = np.array([(kind, k, 0, i, i) for kind, sets in ((SRC, inst.sources),
+                                                          (DST, inst.destinations))
+                    for k, nodes in enumerate(sets) for i in nodes], dtype=np.int32)
+    var_keys = np.concatenate([np.column_stack([np.full_like(m_of, MOVE), k_of, t_of + 1,
+                                                tab.origins[m_of], tab.targets[m_of]]),
+                               att]).astype(np.int32)
+    move_cost = np.array([costs.movement_cost(i, j) for i, j in tab.moves])
+    objective = np.concatenate([move_cost[m_of], np.zeros(len(att))])
+    # per team and node, the ordinal of its source (destination) attachment or -1
+    src_of, dst_of = np.full((2, n_teams, n_nodes, 1), -1, dtype=np.int32)
+    att_ord = np.arange(n_move_vars, len(var_keys), dtype=np.int32)
+    src, dst = att[:, 0] == SRC, att[:, 0] == DST
+    src_of[att[src, 1], att[src, 3], 0] = att_ord[src]
+    dst_of[att[dst, 1], att[dst, 3], 0] = att_ord[dst]
 
-    def add_var(vid, cost):
-        var_index[vid] = len(var_ids)
-        var_ids.append(vid)
-        obj.append(cost)
+    # per (k, t-1, node, slot): movement ordinals out of / into each node
+    outflow = var_of[:, :, tab.moves_from]
+    inflow = var_of[:, :, tab.moves_into]
+    parts = []  # per family: (family, entries, row lengths, row name ints)
 
-    # movement variables, masked-in only, ordered by (k, t, movement index)
-    move_vars = {}  # (k, t, m) -> ordinal
-    for k in range(n_teams):
-        for t in range(1, depth + 1):
-            row_mask = teg.mask[k, t - 1]
-            for m, (i, j) in enumerate(teg.moves):
-                if row_mask[m]:
-                    move_vars[(k, t, m)] = len(var_ids)
-                    add_var(("move", k, t, i, j), costs.movement_cost(i, j))
-    for k in range(n_teams):
-        for i in inst.sources[k]:
-            add_var(("src", k, i), 0.0)
-    for k in range(n_teams):
-        for i in inst.destinations[k]:
-            add_var(("dst", k, i), 0.0)
+    def add(family, plus, minus, name):
+        """Rows over a grid: ``plus``/``minus`` (*grid, width) hold ordinals or -1,
+        ``name`` maps grid coordinates to name ints.  Drops empty rows and
+        the ``<= 1`` rows binarity satisfies."""
+        grid = plus.shape[:-1]
+        n = int(np.prod(grid))
+        vals = plus.reshape(n, plus.shape[-1])
+        if minus is not None:
+            # minus ordinal v is stored as -2 - v, which leaves -1 for "absent"
+            vals = np.concatenate([vals, -2 - minus.reshape(n, minus.shape[-1])], axis=1)
+        present = vals != -1
+        count = present.sum(axis=1)
+        kept = np.flatnonzero(count > (0 if _EQ[family] else 1))
+        keys = np.zeros((len(kept), 4), dtype=np.int32)
+        keys[:, 0] = family
+        for c, col in enumerate(name(*np.unravel_index(kept, grid)), 1):
+            keys[:, c] = col
+        parts.append((vals[kept][present[kept]], count[kept], keys))
 
-    src_var = {(k, i): var_index[("src", k, i)]
-               for k in range(n_teams) for i in inst.sources[k]}
-    dst_var = {(k, i): var_index[("dst", k, i)]
-               for k in range(n_teams) for i in inst.destinations[k]}
-
-    def outflow(k, t, i):
-        return [move_vars[(k, t, m)] for m in teg.moves_from[i] if (k, t, m) in move_vars]
-
-    def inflow(k, t, i):
-        return [move_vars[(k, t, m)] for m in teg.moves_into[i] if (k, t, m) in move_vars]
-
-    rows = []
-
-    def add_row(name, plus, minus, rel, rhs):
-        if rel == "<=" and len(plus) <= rhs and not minus:
-            return  # satisfied by binarity
-        if not plus and not minus:
-            if (rel == "=" and rhs != 0) or (rel == "<=" and rhs < 0):
-                raise AssertionError(f"emitted an unsatisfiable empty row {name}")
-            return
-        rows.append(Row(name, tuple(plus), tuple(minus), rel, rhs))
+    def step_move(t0, m):
+        return t0 + 1, tab.origins[m], tab.targets[m]
 
     # (1) conservation of flow: source boundary, interior layers, destination boundary
-    if depth == 0:
-        for k in range(n_teams):
-            for i in range(g.node_count):
-                plus = [src_var[(k, i)]] if (k, i) in src_var else []
-                minus = [dst_var[(k, i)]] if (k, i) in dst_var else []
-                add_row(f"flow_src_k{k}_{i}", plus, minus, "=", 0)
-    else:
-        for k in range(n_teams):
-            for i in range(g.node_count):
-                out1 = outflow(k, 1, i)
-                plus = [src_var[(k, i)]] if (k, i) in src_var else []
-                add_row(f"flow_src_k{k}_{i}", plus, out1, "=", 0)
-        for t in range(1, depth):
-            for k in range(n_teams):
-                for i in range(g.node_count):
-                    add_row(f"flow_k{k}_t{t}_{i}",
-                            inflow(k, t, i), outflow(k, t + 1, i), "=", 0)
-        for k in range(n_teams):
-            for i in range(g.node_count):
-                minus = [dst_var[(k, i)]] if (k, i) in dst_var else []
-                add_row(f"flow_dst_k{k}_{i}", inflow(k, depth, i), minus, "=", 0)
-
+    add(FLOW_SRC, src_of, outflow[:, 0] if depth else dst_of, lambda k, i: (k, i))
+    if depth:
+        # row (t, k, i): inflow at t minus outflow at t + 1
+        add(FLOW, inflow[:, :-1].transpose(1, 0, 2, 3), outflow[:, 1:].transpose(1, 0, 2, 3),
+            lambda t0, k, i: (k, t0 + 1, i))
+        add(FLOW_DST, inflow[:, -1], dst_of, lambda k, i: (k, i))
     # (2) edge flow capacity: one qubit per directed movement per timestep
-    for t in range(1, depth + 1):
-        for m, (i, j) in enumerate(teg.moves):
-            users = [move_vars[(k, t, m)] for k in range(n_teams) if (k, t, m) in move_vars]
-            add_row(f"cap_t{t}_{i}_{j}", users, [], "<=", 1)
-
+    add(CAP, var_of[:, :, :n_moves].transpose(1, 2, 0), None, step_move)
     # (3) unit flow on attachments (destination equalities dropped when flexible)
-    for k in range(n_teams):
-        for i in inst.sources[k]:
-            add_row(f"srcflow_k{k}_{i}", [src_var[(k, i)]], [], "=", 1)
+    add(SRCFLOW, att_ord[src, None], None, lambda a: att[src][a][:, [1, 3]].T)
     if not inst.flexible:
-        for k in range(n_teams):
-            for i in inst.destinations[k]:
-                add_row(f"dstflow_k{k}_{i}", [dst_var[(k, i)]], [], "=", 1)
+        add(DSTFLOW, att_ord[dst, None], None, lambda a: att[dst][a][:, [1, 3]].T)
+    # (5) exclusivity of location: row (t, i) lists team by team the moves into i
+    excl = inflow.transpose(1, 2, 0, 3)
+    add(EXCL, excl.reshape(depth, n_nodes, n_teams * excl.shape[3]), None,
+        lambda t0, i: (t0 + 1, i))
+    # (6) swap-based movement, one row per ordered pair of each hardware edge:
+    # row (t, a -> b) lists move by move of its sequence the ordinals of every team
+    swap = var_of[:, :, tab.swap_moves].transpose(1, 2, 3, 0)
+    add(SWAP, swap.reshape(*swap.shape[:2], n_teams * swap.shape[2]), None, step_move)
 
-    # (5) exclusivity of location
-    for t in range(1, depth + 1):
-        for i in range(g.node_count):
-            users = [v for k in range(n_teams) for v in inflow(k, t, i)]
-            add_row(f"excl_t{t}_{i}", users, [], "<=", 1)
-
-    # (6) swap-based movement, one row per ordered pair of each hardware edge
-    for t in range(1, depth + 1):
-        for i, j in g.edges:
-            for a, b in ((i, j), (j, i)):
-                m_ab = teg.move_index[(a, b)]
-                vars_ = [move_vars[(k, t, m_ab)] for k in range(n_teams)
-                         if (k, t, m_ab) in move_vars]
-                for l in (*g.neighbors[b], b):
-                    if l == a:
-                        continue
-                    m_bl = teg.move_index[(b, l)]
-                    vars_.extend(move_vars[(k, t, m_bl)] for k in range(n_teams)
-                                 if (k, t, m_bl) in move_vars)
-                add_row(f"swap_t{t}_{a}_{b}", vars_, [], "<=", 1)
-
-    return BilpModel(
-        var_count=len(var_ids),
-        objective=np.asarray(obj, dtype=float),
-        rows=tuple(rows),
-        var_ids=tuple(var_ids),
-        var_index=var_index,
-    )
+    entries, counts, keys = (np.concatenate(p) for p in zip(*parts))
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    minus = entries < 0
+    return BilpModel(var_count=len(var_keys), objective=objective, var_keys=var_keys,
+                     indptr=indptr, indices=np.where(minus, -2 - entries, entries),
+                     signs=np.where(minus, -1, 1).astype(np.int8), eq=_EQ[keys[:, 0]],
+                     rhs=_RHS[keys[:, 0]], row_keys=keys)
 
 
 def count_stats(model: BilpModel) -> dict:
     """Exact variable/row/nonzero counts."""
-    return {
-        "vars": model.var_count,
-        "rows": len(model.rows),
-        "nonzeros": sum(len(r.plus) + len(r.minus) for r in model.rows),
-    }
+    return {"vars": model.var_count, "rows": model.row_count, "nonzeros": len(model.indices)}

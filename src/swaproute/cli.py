@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bilp, graph, instance as inst_mod, noise, oracle, route, solver, texpand
+from . import graph, instance as inst_mod, noise, oracle, route, solver
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,12 +104,9 @@ def cmd_solve(args):
 
     if args.export_lp is not None:
         depth = route.lower_bound_dijkstra(inst=inst, g=g)
-        teg = texpand.expand(g, inst, depth)
-        if not args.no_trim:
-            teg = texpand.trim(teg)
-        model = bilp.build_model(teg, costs)
+        _, model = route.model_at_depth(g, inst, costs, depth, trim=not args.no_trim)
         Path(args.export_lp).write_text(solver.export_lp(model))
-        print(f"wrote LP model ({model.var_count} vars, {len(model.rows)} rows, "
+        print(f"wrote LP model ({model.var_count} vars, {model.row_count} rows, "
               f"depth {depth}) to {args.export_lp}")
         return EXIT_OK
 

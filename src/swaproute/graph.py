@@ -72,13 +72,6 @@ class HardwareGraph:
         return f"HardwareGraph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
-def shortest_distances(g: HardwareGraph, source: int) -> list[int]:
-    """Unweighted BFS hop distances from ``source`` to every node."""
-    if not (0 <= source < g.node_count):
-        raise GraphError(f"node {source} out of range [0, {g.node_count})")
-    return distances_from_set(g, [source])
-
-
 def distances_from_set(g: HardwareGraph, sources) -> list[int]:
     """Multi-source BFS hop distances (minimum over the source set)."""
     dist = [-1] * g.node_count

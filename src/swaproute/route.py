@@ -131,6 +131,22 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     return _deepen(g, emap, inst, cfg, costs)
 
 
+def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
+    """The time expansion at ``depth``, reachability-trimmed when ``trim`` is
+    set, and its BILP.  Adds the seconds spent to ``expand_s`` and ``build_s``
+    of ``timings`` when given."""
+    t0 = time.monotonic()
+    teg = texpand.expand(g, inst, depth)
+    if trim:
+        teg = texpand.trim(teg)
+    t1 = time.monotonic()
+    model = bilp.build_model(teg, costs)
+    if timings is not None:
+        timings["expand_s"] += t1 - t0
+        timings["build_s"] += time.monotonic() - t1
+    return teg, model
+
+
 def _deepen(g, emap, inst, cfg, costs):
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
@@ -158,19 +174,10 @@ def _deepen(g, emap, inst, cfg, costs):
     timings["presolve_s"] = time.monotonic() - t0
 
     def attempt(depth):
-        t1 = time.monotonic()
-        teg = texpand.expand(g, inst, depth)
-        if cfg.trim:
-            teg = texpand.trim(teg)
-        t2 = time.monotonic()
-        model = bilp.build_model(teg, costs)
-        t3 = time.monotonic()
-        scfg = replace(cfg.solver, deadline=remaining())
-        res = solve(model, scfg)
-        t4 = time.monotonic()
-        timings["expand_s"] += t2 - t1
-        timings["build_s"] += t3 - t2
-        timings["solve_s"] += t4 - t3
+        teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
+        t0 = time.monotonic()
+        res = solve(model, replace(cfg.solver, deadline=remaining()))
+        timings["solve_s"] += time.monotonic() - t0
         return teg, model, res
 
     cap = g.node_count ** 2
@@ -241,14 +248,13 @@ def extract_paths(assignment, teg, model):
     (sorted by source node), matching the instance convention.
     """
     inst, depth = teg.instance, teg.depth
+    keys = model.var_keys
     chosen = {}  # (team, t, origin) -> target
-    for ordinal, vid in enumerate(model.var_ids):
-        if vid[0] == "move" and assignment[ordinal] == 1:
-            _, k, t, i, j = vid
-            key = (k, t, i)
-            if key in chosen:
-                raise RouteError(f"flow decode failure: two movements out of {key}")
-            chosen[key] = j
+    for _, k, t, i, j in keys[(assignment == 1) & (keys[:, 0] == bilp.MOVE)].tolist():
+        key = (k, t, i)
+        if key in chosen:
+            raise RouteError(f"flow decode failure: two movements out of {key}")
+        chosen[key] = j
     teams = []
     paths = []
     for k in range(inst.team_count):

@@ -15,13 +15,14 @@ re-solving from the previous basis.  Without that binding every node makes
 one cold ``linprog`` call instead, with the same bounds and about three
 times the run time.  A degenerate relaxation may stop at a different vertex
 on the two paths, so node counts can differ between them; optima do not.
+Under a deadline each warm re-solve runs with a HiGHS time limit of the time
+left, and one that hits it ends the solve as ``deadline_exceeded``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +33,7 @@ try:
 except ImportError:
     _highs = None
 _HIGHS_API = ("passModel", "setOptionValue", "changeColsBounds", "run", "getModelStatus",
-              "modelStatusToString", "getInfo", "getSolution")
+              "modelStatusToString", "getInfo", "getSolution", "getRunTime")
 if _highs is not None and not all(hasattr(_highs._Highs, f) for f in _HIGHS_API):
     _highs = None
 
@@ -71,26 +72,31 @@ class SolveResult:
 
 
 class _Propagator:
-    """Unit-coefficient bound propagation with a trail for backtracking."""
+    """Unit-coefficient bound propagation with a trail for backtracking.
+
+    The row and variable incidence comes from the model's CSR arrays as flat
+    Python lists, which index faster than numpy arrays in these loops.
+    """
 
     def __init__(self, model):
-        self.rows = model.rows
-        n = model.var_count
+        n, n_rows, indptr = model.var_count, model.row_count, model.indptr
+        row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+        plus = model.signs > 0
+        n_plus = np.bincount(row_of[plus], minlength=n_rows)
         self.values = np.full(n, -1, dtype=np.int8)
         # per-row counters: plus fixed to 1, plus free, minus fixed to 1, minus free
-        self.p1 = np.zeros(len(self.rows), dtype=np.int32)
-        self.pf = np.array([len(r.plus) for r in self.rows], dtype=np.int32)
-        self.m1 = np.zeros(len(self.rows), dtype=np.int32)
-        self.mf = np.array([len(r.minus) for r in self.rows], dtype=np.int32)
-        var_plus = [[] for _ in range(n)]
-        var_minus = [[] for _ in range(n)]
-        for ri, r in enumerate(self.rows):
-            for v in r.plus:
-                var_plus[v].append(ri)
-            for v in r.minus:
-                var_minus[v].append(ri)
-        self.var_plus = [tuple(x) for x in var_plus]
-        self.var_minus = [tuple(x) for x in var_minus]
+        self.p1, self.pf = [0] * n_rows, n_plus.tolist()
+        self.m1, self.mf = [0] * n_rows, (np.diff(indptr) - n_plus).tolist()
+        # row ri holds plus variables row_vars[start[ri]:mid[ri]], then its minus ones
+        self.row_vars = model.indices.tolist()
+        self.start = indptr.tolist()
+        self.mid = (indptr[:-1] + n_plus).tolist()
+        self.rhs, self.eq = model.rhs.tolist(), model.eq.tolist()
+        # variable v is plus in rows var_rows[at[2v]:at[2v+1]], minus in the next slice
+        key = 2 * model.indices.astype(np.int64) + ~plus
+        order = np.argsort(key, kind="stable")
+        self.var_rows = row_of[order].tolist()
+        self.at = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * n))]).tolist()
         self.trail = []
 
     def mark(self):
@@ -99,16 +105,21 @@ class _Propagator:
     def undo_to(self, mark):
         while len(self.trail) > mark:
             v = self.trail.pop()
-            val = self.values[v]
+            self._count(v, self.values[v], 1)
             self.values[v] = -1
-            for ri in self.var_plus[v]:
-                self.pf[ri] += 1
-                if val == 1:
-                    self.p1[ri] -= 1
-            for ri in self.var_minus[v]:
-                self.mf[ri] += 1
-                if val == 1:
-                    self.m1[ri] -= 1
+
+    def _count(self, v, val, step):
+        """Moves the counters of v's rows by ``step``: -1 when v is fixed to
+        ``val``, +1 when it is freed from ``val``."""
+        at, var_rows = self.at, self.var_rows
+        for ri in var_rows[at[2 * v]:at[2 * v + 1]]:
+            self.pf[ri] += step
+            if val == 1:
+                self.p1[ri] -= step
+        for ri in var_rows[at[2 * v + 1]:at[2 * v + 2]]:
+            self.mf[ri] += step
+            if val == 1:
+                self.m1[ri] -= step
 
     def _fix(self, v, val, queue):
         cur = self.values[v]
@@ -116,16 +127,8 @@ class _Propagator:
             return cur == val
         self.values[v] = val
         self.trail.append(v)
-        for ri in self.var_plus[v]:
-            self.pf[ri] -= 1
-            if val == 1:
-                self.p1[ri] += 1
-            queue.append(ri)
-        for ri in self.var_minus[v]:
-            self.mf[ri] -= 1
-            if val == 1:
-                self.m1[ri] += 1
-            queue.append(ri)
+        self._count(v, val, -1)
+        queue.extend(self.var_rows[self.at[2 * v]:self.at[2 * v + 2]])
         return True
 
     def assign(self, v, val):
@@ -137,54 +140,34 @@ class _Propagator:
 
     def propagate_all(self):
         """Examine every row once (used at the root).  Returns False on conflict."""
-        return self._propagate(list(range(len(self.rows))))
+        return self._propagate(list(range(len(self.rhs))))
 
     def _propagate(self, queue):
-        values = self.values
+        values, row_vars, start, mid = self.values, self.row_vars, self.start, self.mid
+        p1, pf, m1, mf, rhs, eq = self.p1, self.pf, self.m1, self.mf, self.rhs, self.eq
         while queue:
             ri = queue.pop()
-            r = self.rows[ri]
-            lo = self.p1[ri] - self.m1[ri] - self.mf[ri]
-            hi = self.p1[ri] + self.pf[ri] - self.m1[ri]
-            if lo > r.rhs:
+            lo = p1[ri] - m1[ri] - mf[ri]
+            hi = p1[ri] + pf[ri] - m1[ri]
+            if lo > rhs[ri]:
                 return False
-            if r.rel == "=" and hi < r.rhs:
+            if eq[ri] and hi < rhs[ri]:
                 return False
-            if lo == r.rhs and (self.pf[ri] or self.mf[ri]):
-                # any free plus at 1 (or free minus at 0) would overshoot
-                for v in r.plus:
-                    if values[v] == -1 and not self._fix(v, 0, queue):
-                        return False
-                for v in r.minus:
-                    if values[v] == -1 and not self._fix(v, 1, queue):
-                        return False
-            elif r.rel == "=" and hi == r.rhs and (self.pf[ri] or self.mf[ri]):
-                for v in r.plus:
-                    if values[v] == -1 and not self._fix(v, 1, queue):
-                        return False
-                for v in r.minus:
-                    if values[v] == -1 and not self._fix(v, 0, queue):
-                        return False
+            if not (pf[ri] or mf[ri]):
+                continue
+            if lo == rhs[ri]:
+                fill = 0  # any free plus at 1 (or free minus at 0) would overshoot
+            elif eq[ri] and hi == rhs[ri]:
+                fill = 1  # any free plus at 0 (or free minus at 1) would fall short
+            else:
+                continue
+            for v in row_vars[start[ri]:mid[ri]]:
+                if values[v] == -1 and not self._fix(v, fill, queue):
+                    return False
+            for v in row_vars[mid[ri]:start[ri + 1]]:
+                if values[v] == -1 and not self._fix(v, 1 - fill, queue):
+                    return False
         return True
-
-
-def _lp_matrix(model):
-    """Constraint matrix (CSC) and row bounds of the LP relaxation.
-
-    ``=`` rows get lower = upper = rhs; ``<=`` rows get lower = -inf.
-    """
-    rows = model.rows
-    m = len(rows)
-    n_plus = np.fromiter((len(r.plus) for r in rows), np.int64, m)
-    n_minus = np.fromiter((len(r.minus) for r in rows), np.int64, m)
-    cols = np.fromiter(chain.from_iterable(r.plus + r.minus for r in rows), np.int64,
-                       int(n_plus.sum() + n_minus.sum()))
-    row_idx = np.repeat(np.arange(m), n_plus + n_minus)
-    signs = np.repeat(np.tile([1.0, -1.0], m), np.column_stack([n_plus, n_minus]).ravel())
-    a = sp.csc_matrix((signs, (row_idx, cols)), shape=(m, model.var_count))
-    rhs = np.fromiter((r.rhs for r in rows), float, m)
-    eq = np.fromiter((r.rel == "=" for r in rows), bool, m)
-    return a, np.where(eq, rhs, -np.inf), rhs
 
 
 def _col_bounds(values):
@@ -192,52 +175,65 @@ def _col_bounds(values):
     return np.where(values == 1, 1.0, 0.0), np.where(values == 0, 0.0, 1.0)
 
 
+class _LpTimeLimit(Exception):
+    """An LP relaxation ran out of the solve's remaining time."""
+
+
 class _LpRelaxation:
     """The LP relaxation of one model, kept alive in HiGHS for a whole search.
 
-    Each node changes only the column bounds that differ from the previous
-    node and re-solves with the dual simplex from the previous basis.
+    The model's CSR rows go to HiGHS as they are.  Each node changes only the
+    column bounds that differ from the previous node and re-solves with the
+    dual simplex from the previous basis.
     """
 
     def __init__(self, model):
         n = model.var_count
-        a, row_lo, row_hi = _lp_matrix(model)
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lo)
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
+        lp.num_row_ = lp.a_matrix_.num_row_ = model.row_count
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+        lp.a_matrix_.start_ = model.indptr
+        lp.a_matrix_.index_ = model.indices
+        lp.a_matrix_.value_ = model.signs.astype(float)
         lp.col_cost_ = model.objective
         self.lb = np.zeros(n)
         self.ub = np.ones(n)
         lp.col_lower_ = self.lb
         lp.col_upper_ = self.ub
-        lp.row_lower_ = row_lo
-        lp.row_upper_ = row_hi
+        # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
+        rhs = model.rhs.astype(float)
+        lp.row_lower_, lp.row_upper_ = np.where(model.eq, rhs, -np.inf), rhs
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
         if self.highs.passModel(lp) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP relaxation")
 
-    def bound(self, values):
+    def bound(self, values, time_left=None):
         """Relaxation of the subproblem with ``values`` fixed (-1 = free).
 
         Returns (bound, x), or None when the subproblem is infeasible.
+        Raises ``_LpTimeLimit`` when the solve takes longer than
+        ``time_left`` seconds.
         """
         lb, ub = _col_bounds(values)
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub)).astype(np.int32)
         if changed.size:
             self.highs.changeColsBounds(changed.size, changed, lb[changed], ub[changed])
             self.lb, self.ub = lb, ub
+        if time_left is not None:
+            # HiGHS holds the limit against its run time summed over every run
+            self.highs.setOptionValue("time_limit",
+                                      self.highs.getRunTime() + max(time_left, 0.0))
         self.highs.run()
         status = self.highs.getModelStatus()
         # every column is boxed in [0, 1], so "unbounded or infeasible" is infeasible
         if status in (_highs.HighsModelStatus.kInfeasible,
                       _highs.HighsModelStatus.kUnboundedOrInfeasible):
             return None
+        if status == _highs.HighsModelStatus.kTimeLimit:
+            raise _LpTimeLimit
         if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError("LP relaxation failed: "
                               + self.highs.modelStatusToString(status))
@@ -247,17 +243,18 @@ class _LpRelaxation:
 
 class _ColdLp:
     """One cold scipy ``linprog`` call per node: the fallback for scipy
-    releases that bundle no HiGHS binding."""
+    releases that bundle no HiGHS binding.  It checks the deadline only
+    between nodes, so it ignores ``time_left``."""
 
     def __init__(self, model):
-        a, row_lo, row_hi = _lp_matrix(model)
-        a = a.tocsr()
-        eq = row_lo == row_hi
+        a = sp.csr_matrix((model.signs.astype(float), model.indices, model.indptr),
+                          shape=(model.row_count, model.var_count))
+        eq, rhs = model.eq, model.rhs.astype(float)
         self.c = model.objective
-        self.a_eq, self.b_eq = (a[eq], row_hi[eq]) if eq.any() else (None, None)
-        self.a_ub, self.b_ub = (a[~eq], row_hi[~eq]) if not eq.all() else (None, None)
+        self.a_eq, self.b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
+        self.a_ub, self.b_ub = (a[~eq], rhs[~eq]) if not eq.all() else (None, None)
 
-    def bound(self, values):
+    def bound(self, values, time_left=None):
         lb, ub = _col_bounds(values)
         res = linprog(self.c, A_ub=self.a_ub, b_ub=self.b_ub, A_eq=self.a_eq,
                       b_eq=self.b_eq, bounds=np.column_stack([lb, ub]), method="highs")
@@ -273,13 +270,9 @@ def _relaxation(model):
 
 
 def _check_assignment(model, x):
-    for r in model.rows:
-        val = sum(x[v] for v in r.plus) - sum(x[v] for v in r.minus)
-        if r.rel == "=" and val != r.rhs:
-            return False
-        if r.rel == "<=" and val > r.rhs:
-            return False
-    return True
+    """Exact integer check of every row (rows are never empty)."""
+    lhs = np.add.reduceat(x.astype(np.int64)[model.indices] * model.signs, model.indptr[:-1])
+    return bool(np.all(np.where(model.eq, lhs == model.rhs, lhs <= model.rhs)))
 
 
 def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
@@ -344,7 +337,11 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
             if fixed_cost >= inc_obj - _OBJ_TOL:
                 descend = False
                 continue
-            relaxed = lp.bound(prop.values)
+            try:
+                relaxed = lp.bound(prop.values,
+                                   None if deadline is None else deadline - time.monotonic())
+            except _LpTimeLimit:
+                return result("deadline_exceeded")
             if relaxed is None:
                 descend = False
                 continue
@@ -415,25 +412,18 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
 
 def export_lp(model) -> str:
     """Standard LP-format text for external solvers.  Byte-stable per model."""
+    names = [model.var_name(v) for v in range(model.var_count)]
     lines = ["Minimize", " obj:"]
-    terms = []
-    for v in range(model.var_count):
-        terms.append(f" + {model.objective[v]:.17g} {model.var_name(v)}")
+    terms = [f" + {cost:.17g} {name}" for cost, name in zip(model.objective, names)]
     if terms:
         lines[-1] += "".join(terms)
     else:
         lines[-1] += " 0"
     lines.append("Subject To")
     for r in model.rows:
-        parts = []
-        for v in r.plus:
-            parts.append(f" + {model.var_name(v)}")
-        for v in r.minus:
-            parts.append(f" - {model.var_name(v)}")
-        rel = "=" if r.rel == "=" else "<="
-        lines.append(f" {r.name}:{''.join(parts)} {rel} {r.rhs}")
+        parts = [f" + {names[v]}" for v in r.plus] + [f" - {names[v]}" for v in r.minus]
+        lines.append(f" {r.name}:{''.join(parts)} {r.rel} {r.rhs}")
     lines.append("Binary")
-    for v in range(model.var_count):
-        lines.append(f" {model.var_name(v)}")
+    lines.extend(f" {name}" for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"

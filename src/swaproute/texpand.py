@@ -3,12 +3,14 @@
 A depth-T expansion has T movement layers (timesteps 1..T).  Each layer holds
 one directed movement edge per direction of every hardware edge plus one idle
 self-loop per node, for ``2|E| + |V|`` movements per timestep.  Per-team
-boolean masks select the movements that survive trimming.
+boolean masks select the movements that survive trimming.  The movement
+tables depend on the graph alone and are built once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,36 +18,61 @@ from .graph import distances_from_set
 
 
 @dataclass(frozen=True)
+class GraphTables:
+    """Movement index tables of one graph.  Movement m is ``moves[m]``: both
+    directions of every edge in edge order, then one idle loop per node.  The
+    read-only 2-D tables pad their rows with ``len(moves)``."""
+
+    moves: tuple            # ((i, j), ...) of length 2|E| + |V|
+    origins: np.ndarray     # (M,) origin node of each movement
+    targets: np.ndarray     # (M,) target node of each movement
+    moves_from: np.ndarray  # (V, max out) movements leaving each node, ascending
+    moves_into: np.ndarray  # (V, max in) movements entering each node, ascending
+    swap_moves: np.ndarray  # (2|E|, max degree + 1) the movements of each swap row
+
+
+def _frozen(rows, pad):
+    """``rows`` padded with ``pad`` to one width, as a read-only array."""
+    table = np.full((len(rows), max(map(len, rows), default=0)), pad, dtype=np.intp)
+    for r, row in enumerate(rows):
+        table[r, :len(row)] = row
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def graph_tables(g) -> GraphTables:
+    """The movement tables of ``g``, built once per graph (graphs are immutable)."""
+    moves = [mv for i, j in g.edges for mv in ((i, j), (j, i))]
+    moves += [(v, v) for v in range(g.node_count)]
+    move_index = {mv: m for m, mv in enumerate(moves)}
+    ends = _frozen(moves, 0).T  # origins, targets
+    nodes = range(g.node_count)
+    # a move a -> b conflicts with every move out of b that does not return to a
+    swaps = [[m] + [move_index[(b, l)] for l in (*g.neighbors[b], b) if l != a]
+             for m, (a, b) in enumerate(moves[:2 * g.edge_count])]
+    return GraphTables(
+        moves=tuple(moves), origins=ends[0], targets=ends[1],
+        moves_from=_frozen([np.flatnonzero(ends[0] == v) for v in nodes], len(moves)),
+        moves_into=_frozen([np.flatnonzero(ends[1] == v) for v in nodes], len(moves)),
+        swap_moves=_frozen(swaps, len(moves)))
+
+
+@dataclass(frozen=True)
 class TimeExpandedGraph:
     """T-layer movement graph with per-team reachability masks.
 
-    ``moves[m]`` is the movement edge with index m (idle edges have i == j);
-    ``mask[k, t-1, m]`` says whether movement m at timestep t is usable by
-    team k.  Special per-team source/destination attachment nodes live
-    outside the movement layers and are handled by the model builder.
+    ``mask[k, t-1, m]`` says whether movement ``tables.moves[m]`` at
+    timestep t is usable by team k.  Special per-team source/destination
+    attachment nodes live outside the movement layers and are handled by
+    the model builder.
     """
 
     graph: object
     instance: object
     depth: int
-    moves: tuple            # ((i, j), ...) of length 2|E| + |V|
     mask: np.ndarray        # bool, shape (K, T, len(moves))
-    move_index: dict        # (i, j) -> movement index
-    moves_from: tuple       # per node, movement indices with origin there
-    moves_into: tuple       # per node, movement indices with target there
-
-    def masked_in_count(self) -> int:
-        return int(self.mask.sum())
-
-
-def _movement_edges(g):
-    moves = []
-    for i, j in g.edges:
-        moves.append((i, j))
-        moves.append((j, i))
-    for v in range(g.node_count):
-        moves.append((v, v))
-    return tuple(moves)
+    tables: GraphTables
 
 
 def expand(g, inst, depth: int) -> TimeExpandedGraph:
@@ -56,23 +83,9 @@ def expand(g, inst, depth: int) -> TimeExpandedGraph:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    moves = _movement_edges(g)
-    move_index = {mv: m for m, mv in enumerate(moves)}
-    moves_from = [[] for _ in range(g.node_count)]
-    moves_into = [[] for _ in range(g.node_count)]
-    for m, (i, j) in enumerate(moves):
-        moves_from[i].append(m)
-        if j != i:
-            moves_into[j].append(m)
-        else:
-            moves_into[i].append(m)
-    mask = np.ones((inst.team_count, depth, len(moves)), dtype=bool)
-    return TimeExpandedGraph(
-        graph=g, instance=inst, depth=depth, moves=moves, mask=mask,
-        move_index=move_index,
-        moves_from=tuple(tuple(ms) for ms in moves_from),
-        moves_into=tuple(tuple(ms) for ms in moves_into),
-    )
+    tables = graph_tables(g)
+    mask = np.ones((inst.team_count, depth, len(tables.moves)), dtype=bool)
+    return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 
 
 def trim(teg: TimeExpandedGraph) -> TimeExpandedGraph:
@@ -84,19 +97,14 @@ def trim(teg: TimeExpandedGraph) -> TimeExpandedGraph:
     ball on the hardware graph, ignoring occupancy, so trimming is a sound
     over-approximation and never cuts a feasible solution.
     """
-    g, inst, depth = teg.graph, teg.instance, teg.depth
-    mask = np.zeros_like(teg.mask)
-    origins = np.array([mv[0] for mv in teg.moves])
-    targets = np.array([mv[1] for mv in teg.moves])
+    g, inst, depth, tables = teg.graph, teg.instance, teg.depth, teg.tables
+    steps = np.arange(depth)[:, None]  # t - 1 for t = 1..T
+    mask = np.empty_like(teg.mask)
     for k in range(inst.team_count):
-        d_src = np.array(distances_from_set(g, inst.sources[k]))
-        d_dst = np.array(distances_from_set(g, inst.destinations[k]))
-        for t in range(1, depth + 1):
-            mask[k, t - 1] = (d_src[origins] <= t - 1) & (d_dst[targets] <= depth - t)
-    return TimeExpandedGraph(
-        graph=g, instance=inst, depth=depth, moves=teg.moves, mask=mask,
-        move_index=teg.move_index, moves_from=teg.moves_from, moves_into=teg.moves_into,
-    )
+        d_src = np.array(distances_from_set(g, inst.sources[k]))[tables.origins]
+        d_dst = np.array(distances_from_set(g, inst.destinations[k]))[tables.targets]
+        mask[k] = (d_src <= steps) & (d_dst <= depth - 1 - steps)
+    return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 
 
 def to_dot(teg: TimeExpandedGraph, team: int = 0) -> str:
@@ -111,7 +119,7 @@ def to_dot(teg: TimeExpandedGraph, team: int = 0) -> str:
             lines.append(f"    n{t}_{v} [label=\"{v}\"];")
         lines.append("  }")
     for t in range(1, teg.depth + 1):
-        for m, (i, j) in enumerate(teg.moves):
+        for m, (i, j) in enumerate(teg.tables.moves):
             style = "" if teg.mask[team, t - 1, m] else " [color=gray, style=dashed]"
             lines.append(f"  n{t - 1}_{i} -> n{t}_{j}{style};")
     inst = teg.instance

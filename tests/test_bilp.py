@@ -1,13 +1,17 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from swaproute import bilp, texpand
-from swaproute.graph import build_grid
-from swaproute.instance import MqpfInstance
-from swaproute.noise import movement_costs
+from swaproute import bilp, solver, texpand
+from swaproute.graph import build_grid, build_layout
+from swaproute.instance import MqpfInstance, random_instance
+from swaproute.noise import HERON, movement_costs, sample_error_map
+from swaproute.route import lower_bound_dijkstra
 
-from conftest import uniform_error_map
+from bilp_reference import reference_model
+from conftest import build_cycle, random_maybe_flexible_instance, uniform_error_map
 
 
 def one_swap_model(trim=False):
@@ -39,18 +43,18 @@ def test_one_swap_model_counts():
 def test_one_swap_feasible_assignment():
     model = one_swap_model()
     x = [0] * model.var_count
-    x[model.var_index[("move", 0, 1, 0, 1)]] = 1
-    x[model.var_index[("src", 0, 0)]] = 1
-    x[model.var_index[("dst", 0, 1)]] = 1
+    x[model.var_ids.index(("move", 0, 1, 0, 1))] = 1
+    x[model.var_ids.index(("src", 0, 0))] = 1
+    x[model.var_ids.index(("dst", 0, 1))] = 1
     assert assignment_satisfies(model, x)
 
 
 def test_one_swap_idle_only_is_infeasible():
     model = one_swap_model()
     x = [0] * model.var_count
-    x[model.var_index[("move", 0, 1, 0, 0)]] = 1
-    x[model.var_index[("src", 0, 0)]] = 1
-    x[model.var_index[("dst", 0, 1)]] = 1
+    x[model.var_ids.index(("move", 0, 1, 0, 0))] = 1
+    x[model.var_ids.index(("src", 0, 0))] = 1
+    x[model.var_ids.index(("dst", 0, 1))] = 1
     assert not assignment_satisfies(model, x)
 
 
@@ -85,7 +89,7 @@ def test_objective_zero_on_attachments():
 
 def test_objective_simple_swap_cost():
     model = one_swap_model()
-    v = model.var_index[("move", 0, 1, 0, 1)]
+    v = model.var_ids.index(("move", 0, 1, 0, 1))
     assert model.objective[v] == pytest.approx(-3.0 * math.log(0.999), abs=1e-15)
 
 
@@ -129,3 +133,88 @@ def test_var_names():
     assert "x_k0_t1_0_1" in names
     assert "s_k0_0" in names
     assert "d_k0_1" in names
+
+
+# --- the array builder against the loop-based reference ----------------------
+
+LAYOUTS = {"grid:8x8": build_grid(8, 8), "path6": build_grid(1, 6), "cycle6": build_cycle(6),
+           "paris27": build_layout("paris27"), "rochester53": build_layout("rochester53")}
+
+
+def reference_corpus():
+    """Seeded (name, teg, costs) cases: every layout, 1 to 8 teams, strict and
+    flexible instances, trimmed and untrimmed, at depths 0 and b-1, b, b+1
+    around the hop bound b."""
+    names = sorted(LAYOUTS)
+    for seed in range(24):
+        name = names[seed % len(names)]
+        g = LAYOUTS[name]
+        n_qubits = min(1 + seed % 8, g.node_count)
+        mode = "independent" if seed % 3 else ("mixed", "single")[seed // 3 % 2]
+        inst = random_maybe_flexible_instance(g, n_qubits, mode, seed, flexible=seed % 4 == 1)
+        costs = movement_costs(g, sample_error_map(g, HERON, seed),
+                               ("simple", "extended")[seed % 2])
+        bound = lower_bound_dijkstra(g, inst)
+        for depth in sorted({0, max(bound - 1, 0), bound, bound + 1}):
+            teg = texpand.expand(g, inst, depth)
+            yield name, teg, costs
+            yield name, texpand.trim(teg), costs
+
+
+def test_builder_matches_loop_reference():
+    covered = {"layouts": set(), "teams": set(), "flexible": set(), "depth0": 0}
+    for name, teg, costs in reference_corpus():
+        model = bilp.build_model(teg, costs)
+        rows, var_ids, objective = reference_model(teg, costs)
+        assert model.rows == rows, name
+        assert model.var_ids == var_ids, name
+        assert model.objective.tolist() == objective, name
+        assert model.var_count == len(var_ids)
+        covered["layouts"].add(name)
+        covered["teams"].add(teg.instance.team_count)
+        covered["flexible"].add(teg.instance.flexible)
+        covered["depth0"] += teg.depth == 0
+    assert covered["layouts"] == set(LAYOUTS)
+    assert covered["teams"] >= set(range(1, 9))
+    assert covered["flexible"] == {False, True}
+    assert covered["depth0"] > 0
+
+
+def pinned_model(case):
+    """The models whose LP export is pinned below."""
+    if case == "grid2x3":
+        g = build_grid(2, 3)
+        inst = random_instance(g, 3, "mixed", 1)
+        costs = movement_costs(g, uniform_error_map(g, eps=0.002), "simple")
+        teg = texpand.trim(texpand.expand(g, inst, lower_bound_dijkstra(g, inst)))
+    elif case == "path6_flexible":
+        g = build_grid(1, 6)
+        inst = random_maybe_flexible_instance(g, 3, "independent", 4, True)
+        costs = movement_costs(g, sample_error_map(g, HERON, 7), "extended")
+        teg = texpand.expand(g, inst, lower_bound_dijkstra(g, inst) + 1)
+    elif case == "paris27":
+        g = build_layout("paris27")
+        inst = random_instance(g, 6, "mixed", 2)
+        costs = movement_costs(g, sample_error_map(g, HERON, 3), "extended")
+        teg = texpand.trim(texpand.expand(g, inst, lower_bound_dijkstra(g, inst)))
+    else:
+        g = build_cycle(6)
+        inst = random_instance(g, 2, "single", 5)
+        costs = movement_costs(g, uniform_error_map(g), "simple")
+        teg = texpand.expand(g, inst, 0)
+    return bilp.build_model(teg, costs)
+
+
+# sha256 of the LP text, as written by the loop-based builder
+PINNED_EXPORTS = {
+    "grid2x3": "17d4af97d97fb4af8cc051678427bfc149aa1352ea666f407dee336dd0ea2b2a",
+    "path6_flexible": "b943c33592ea10602367912efb5420c0f429670b4bc6b7b55c3975ae4f3096e3",
+    "paris27": "09c7c1e82b05d2ea7a71bd2e3566c68e438c1f248abfdb79cb5e7d33722acf36",
+    "cycle6_depth0": "00dcc6999e880ed93e435016961f0db665558b7574709e07eba9e3cbd1d025c6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EXPORTS))
+def test_export_lp_bytes_pinned(case):
+    text = solver.export_lp(pinned_model(case))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXPORTS[case]

@@ -159,7 +159,7 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
         def __init__(self, model):
             pass
 
-        def bound(self, values):
+        def bound(self, values, time_left=None):
             raise solver.SolverError("LP relaxation failed: Iteration limit reached")
     monkeypatch.setattr(solver, "_relaxation", FailingLp)
     code, _, err = run_cli(["solve", "--layout", "grid:4x4", "--random", "4",

@@ -2,7 +2,7 @@ import pytest
 
 from swaproute import graph
 from swaproute.graph import (GraphError, HardwareGraph, build_grid, build_layout,
-                             drop_node, load_graph, save_graph, shortest_distances)
+                             distances_from_set, drop_node, load_graph, save_graph)
 
 
 def test_grid_8x8_counts():
@@ -62,24 +62,24 @@ def test_load_comments_and_blanks():
 
 def test_shortest_distances_path():
     g = build_grid(1, 3)
-    assert shortest_distances(g, 0) == [0, 1, 2]
+    assert distances_from_set(g, [0]) == [0, 1, 2]
 
 
 def test_shortest_distances_self_zero():
     g = build_grid(2, 2)
     for v in range(4):
-        assert shortest_distances(g, v)[v] == 0
+        assert distances_from_set(g, [v])[v] == 0
 
 
 def test_shortest_distances_grid22_corner():
     g = build_grid(2, 2)
-    assert shortest_distances(g, 0)[3] == 2
+    assert distances_from_set(g, [0])[3] == 2
 
 
 def test_distances_edge_lipschitz():
     for name in ("grid:3x3", "melbourne15"):
         g = build_layout(name)
-        d = shortest_distances(g, 0)
+        d = distances_from_set(g, [0])
         for i, j in g.edges:
             assert abs(d[i] - d[j]) <= 1
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +19,21 @@ from conftest import uniform_error_map
 
 
 def toy_model(objective, rows):
+    """A model over ``len(objective)`` movement variables with the given
+    ``Row`` constraints.  Row names are not kept: every row gets the key of
+    ``flow_src_k0_0``."""
     n = len(objective)
-    var_ids = tuple(("move", 0, 1, v, v) for v in range(n))
-    return BilpModel(var_count=n, objective=np.asarray(objective, dtype=float),
-                     rows=tuple(rows), var_ids=var_ids,
-                     var_index={vid: i for i, vid in enumerate(var_ids)})
+    return BilpModel(
+        var_count=n, objective=np.asarray(objective, dtype=float),
+        var_keys=np.array([(bilp.MOVE, 0, 1, v, v) for v in range(n)],
+                          dtype=np.int32).reshape(n, 5),
+        indptr=np.cumsum([0] + [len(r.plus) + len(r.minus) for r in rows], dtype=np.int32),
+        indices=np.array([v for r in rows for v in r.plus + r.minus], dtype=np.int32),
+        signs=np.array([s for r in rows for s in (1,) * len(r.plus) + (-1,) * len(r.minus)],
+                       dtype=np.int8),
+        eq=np.array([r.rel == "=" for r in rows]),
+        rhs=np.array([r.rhs for r in rows], dtype=np.int64),
+        row_keys=np.zeros((len(rows), 4), dtype=np.int32))
 
 
 def brute_force_optimum(model):
@@ -249,6 +260,39 @@ def test_deadline_zero():
     model = routing_model(g, inst, 4)
     res = solve(model, SolverConfig(deadline=0.0))
     assert res.status == "deadline_exceeded"
+
+
+def test_lp_time_limit_ends_solve_as_deadline_exceeded(monkeypatch):
+    pytest.importorskip("scipy.optimize._highspy._core")
+    model = desk_model()
+    lp = solver._LpRelaxation(model)
+    with pytest.raises(solver._LpTimeLimit):
+        lp.bound(np.full(model.var_count, -1, dtype=np.int8), time_left=0.0)
+    # a relaxation that HiGHS stops at its time limit ends the whole solve
+    bound = solver._LpRelaxation.bound
+    monkeypatch.setattr(solver._LpRelaxation, "bound",
+                        lambda self, values, time_left: bound(self, values, 0.0))
+    assert solve(model, SolverConfig(deadline=60.0)).status == "deadline_exceeded"
+
+
+def test_near_zero_deadline_on_desk_model():
+    model = desk_model()
+    for deadline in (1e-3, 0.02):
+        start = time.monotonic()
+        res = solve(model, SolverConfig(deadline=deadline))
+        assert res.status == "deadline_exceeded"
+        assert time.monotonic() - start <= deadline + 0.5
+
+
+def test_check_assignment_is_exact():
+    model = toy_model([0.0, 0.0, 0.0], [Row("flow", (0,), (1, 2), "=", 0),
+                                        Row("cap", (0, 1), (), "<=", 1)])
+    check = solver._check_assignment
+    assert check(model, np.array([1, 0, 1], dtype=np.int8))
+    assert check(model, np.array([0, 0, 0], dtype=np.int8))
+    assert not check(model, np.array([1, 1, 0], dtype=np.int8))  # only the <= row broken
+    assert not check(model, np.array([1, 0, 0], dtype=np.int8))  # only the = row broken
+    assert not check(model, np.array([0, 1, 1], dtype=np.int8))  # = row below its rhs
 
 
 # --- LP export ---------------------------------------------------------------

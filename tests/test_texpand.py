@@ -13,7 +13,7 @@ def team1(src, dst, flexible=False):
 def test_expand_counts_grid13():
     g = build_grid(1, 3)
     teg = texpand.expand(g, team1([0], [2]), 1)
-    assert len(teg.moves) == 2 * 2 + 3  # 7 movement edges per timestep
+    assert len(teg.tables.moves) == 2 * 2 + 3  # 7 movement edges per timestep
     assert teg.mask.shape == (1, 1, 7)
     assert teg.mask.all()
 
@@ -22,7 +22,7 @@ def test_expand_depth_zero():
     g = build_grid(1, 2)
     teg = texpand.expand(g, team1([0], [1]), 0)
     assert teg.mask.shape == (1, 0, 4)
-    assert teg.masked_in_count() == 0
+    assert teg.mask.sum() == 0
 
 
 def test_expand_total_movements_grid12_t2():
@@ -35,10 +35,10 @@ def test_trim_removes_fatal_idle():
     # a single qubit at 0 must reach node 2 by t=2: idling at t=1 is fatal
     g = build_grid(1, 3)
     teg = texpand.trim(texpand.expand(g, team1([0], [2]), 2))
-    idle0 = teg.move_index[(0, 0)]
+    idle0 = teg.tables.moves.index((0, 0))
     assert not teg.mask[0, 0, idle0]
     # moving 0 -> 1 at t=1 stays possible
-    assert teg.mask[0, 0, teg.move_index[(0, 1)]]
+    assert teg.mask[0, 0, teg.tables.moves.index((0, 1))]
 
 
 def test_trim_saturates_at_large_depth():
@@ -53,7 +53,7 @@ def test_trim_noop_at_depth_zero():
     g = build_grid(1, 2)
     inst = team1([0], [0])
     teg = texpand.trim(texpand.expand(g, inst, 0))
-    assert teg.masked_in_count() == 0
+    assert teg.mask.sum() == 0
 
 
 def test_trim_mask_is_subset():
@@ -61,7 +61,7 @@ def test_trim_mask_is_subset():
     inst = MqpfInstance(sources=((0,), (5,)), destinations=((5,), (0,)))
     full = texpand.expand(g, inst, 3)
     trimmed = texpand.trim(full)
-    assert trimmed.masked_in_count() <= full.masked_in_count()
+    assert trimmed.mask.sum() <= full.mask.sum()
     assert np.all(full.mask | ~trimmed.mask)
 
 
@@ -70,7 +70,7 @@ def test_trim_respects_bfs_balls():
     inst = team1([0], [3])
     teg = texpand.trim(texpand.expand(g, inst, 3))
     for t in range(1, 4):
-        for m, (i, j) in enumerate(teg.moves):
+        for m, (i, j) in enumerate(teg.tables.moves):
             if teg.mask[0, t - 1, m]:
                 assert i <= t - 1          # forward reachability on the path
                 assert 3 - j <= 3 - t      # backward reachability
@@ -81,8 +81,16 @@ def test_expand_deterministic():
     inst = team1([0], [3])
     a = texpand.expand(g, inst, 2)
     b = texpand.expand(g, inst, 2)
-    assert a.moves == b.moves
+    assert a.tables.moves == b.tables.moves
     assert np.array_equal(a.mask, b.mask)
+
+
+def test_graph_tables_built_once_per_graph():
+    g = build_grid(3, 3)
+    tables = texpand.expand(g, team1([0], [8]), 4).tables
+    assert tables is texpand.graph_tables(build_grid(3, 3))
+    assert texpand.trim(texpand.expand(g, team1([2], [6]), 2)).tables is tables
+    assert not tables.moves_from.flags.writeable
 
 
 def test_to_dot_smoke():
