@@ -96,10 +96,13 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     """Admissible depth bound from the single-team relaxation.
 
     Merging all teams can only shorten the optimal schedule, and the merged
-    instance solves orders of magnitude faster.  It runs within
-    ``cfg.timeout`` and raises ``PresolveIncomplete`` when it runs out of time
-    or finds the merged instance infeasible up to the depth cap (which makes
-    the original instance infeasible up to the same cap).
+    instance solves orders of magnitude faster.  The merged solve deepens
+    from the merged instance's hop bound.  It runs within ``cfg.timeout`` and
+    raises ``PresolveIncomplete`` when it runs out of time or finds the
+    merged instance infeasible up to the depth cap (which makes the original
+    instance infeasible up to the same cap).  The bound can lie below
+    ``lower_bound_dijkstra`` of the original instance; ``_deepen`` starts at
+    the larger of the two.
     """
     cfg = cfg or RouteConfig()
     relaxed = merge_teams(inst)
@@ -131,14 +134,15 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     return _deepen(g, emap, inst, cfg, costs)
 
 
-def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
+def model_at_depth(g, inst, costs, depth, trim=True, timings=None, distances=None):
     """The time expansion at ``depth``, reachability-trimmed when ``trim`` is
-    set, and its BILP.  Adds the seconds spent to ``expand_s`` and ``build_s``
-    of ``timings`` when given."""
+    set, and its BILP.  ``distances`` is ``texpand.team_distances(g, inst)``,
+    computed by the trim when not given.  Adds the seconds spent to
+    ``expand_s`` and ``build_s`` of ``timings`` when given."""
     t0 = time.monotonic()
     teg = texpand.expand(g, inst, depth)
     if trim:
-        teg = texpand.trim(teg)
+        teg = texpand.trim(teg, distances)
     t1 = time.monotonic()
     model = bilp.build_model(teg, costs)
     if timings is not None:
@@ -148,6 +152,15 @@ def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
 
 
 def _deepen(g, emap, inst, cfg, costs):
+    """Iterative deepening: solve the model at each depth from the presolve
+    bound up to ``node_count ** 2`` and keep the first that is not
+    infeasible, then the one ``depth_slack`` steps deeper when asked.
+
+    Under ``single_team`` the first depth is the larger of the single-team
+    bound and the hop bound: both are admissible, and the hop bound is often
+    the larger one.  ``presolve_bound`` reports the single-team bound.  All
+    budgets share ``cfg.timeout``.
+    """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
 
@@ -171,10 +184,17 @@ def _deepen(g, emap, inst, cfg, costs):
         except PresolveIncomplete as exc:
             timings["presolve_s"] = time.monotonic() - t0
             return _aborted(exc.status, None, timings, start)
+    first = bound
+    if cfg.presolve == "single_team":
+        first = max(bound, lower_bound_dijkstra(g, inst))
     timings["presolve_s"] = time.monotonic() - t0
 
+    t0 = time.monotonic()
+    distances = texpand.team_distances(g, inst) if cfg.trim else None
+    timings["expand_s"] += time.monotonic() - t0
+
     def attempt(depth):
-        teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
+        teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings, distances)
         t0 = time.monotonic()
         res = solve(model, replace(cfg.solver, deadline=remaining()))
         timings["solve_s"] += time.monotonic() - t0
@@ -182,7 +202,7 @@ def _deepen(g, emap, inst, cfg, costs):
 
     cap = g.node_count ** 2
     found = None
-    for depth in range(bound, cap + 1):
+    for depth in range(first, cap + 1):
         if out_of_time():
             return _aborted("timed_out", bound, timings, start)
         teg, model, res = attempt(depth)

@@ -8,10 +8,13 @@ unit-coefficient rows.  Branching picks the most fractional relaxation
 variable, ties broken by ordinal, and all solver modes share the same
 search order so their incumbents are comparable.
 
-The relaxations are warm-started: each ``solve`` call passes its LP once to
-scipy's bundled HiGHS binding (``scipy.optimize._highspy``, scipy >= 1.15)
-and, at each node, changes only the column bounds of the fixings before
-re-solving from the previous basis.  Without that binding every node makes
+Root propagation comes first and alone closes most infeasible depths, so a
+``solve`` call builds its LP only once the root survives it.  The
+relaxations are warm-started: the call hands its CSR arrays once to scipy's
+bundled HiGHS binding (``scipy.optimize._highspy``, scipy >= 1.15) through
+the array overload of ``passModel`` and, at each node, changes only the
+column bounds of the fixings before re-solving from the previous basis.
+Without that binding, or when it lacks the array overload, every node makes
 one cold ``linprog`` call instead, with the same bounds and about three
 times the run time.  A degenerate relaxation may stop at a different vertex
 on the two paths, so node counts can differ between them; optima do not.
@@ -34,7 +37,34 @@ except ImportError:
     _highs = None
 _HIGHS_API = ("passModel", "setOptionValue", "changeColsBounds", "run", "getModelStatus",
               "modelStatusToString", "getInfo", "getSolution", "getRunTime")
-if _highs is not None and not all(hasattr(_highs._Highs, f) for f in _HIGHS_API):
+
+
+def _pass_rows(highs, cost, row_lower, row_upper, start, index, value):
+    """Hands HiGHS the LP min ``cost @ x`` s.t. ``row_lower <= A x <= row_upper``
+    and ``0 <= x <= 1``, with A as row-wise CSR arrays, through the array
+    overload of ``passModel``."""
+    n = len(cost)
+    return highs.passModel(n, len(start) - 1, len(index), _highs.MatrixFormat.kRowwise,
+                           _highs.ObjSense.kMinimize, 0.0, cost, np.zeros(n), np.ones(n),
+                           row_lower, row_upper, start, index, value,
+                           np.zeros(n, dtype=np.int32))
+
+
+def _has_array_pass_model():
+    """Whether the binding takes a model as arrays, probed with a one-column LP."""
+    none = np.zeros(0)
+    try:
+        probe = _highs._Highs()
+        probe.setOptionValue("output_flag", False)
+        status = _pass_rows(probe, np.zeros(1), none, none, np.zeros(1, dtype=np.int32),
+                            np.zeros(0, dtype=np.int32), none)
+    except (AttributeError, TypeError):
+        return False
+    return status == _highs.HighsStatus.kOk
+
+
+if _highs is not None and not (all(hasattr(_highs._Highs, f) for f in _HIGHS_API)
+                               and _has_array_pass_model()):
     _highs = None
 
 MODES = ("optimal", "near_optimal", "feasible_first")
@@ -189,25 +219,16 @@ class _LpRelaxation:
 
     def __init__(self, model):
         n = model.var_count
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = model.row_count
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = model.indptr
-        lp.a_matrix_.index_ = model.indices
-        lp.a_matrix_.value_ = model.signs.astype(float)
-        lp.col_cost_ = model.objective
         self.lb = np.zeros(n)
         self.ub = np.ones(n)
-        lp.col_lower_ = self.lb
-        lp.col_upper_ = self.ub
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
-        lp.row_lower_, lp.row_upper_ = np.where(model.eq, rhs, -np.inf), rhs
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
-        if self.highs.passModel(lp) == _highs.HighsStatus.kError:
+        status = _pass_rows(self.highs, model.objective, np.where(model.eq, rhs, -np.inf), rhs,
+                            model.indptr, model.indices, model.signs.astype(float))
+        if status == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP relaxation")
 
     def bound(self, values, time_left=None):
@@ -288,7 +309,6 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
                            objective=0.0, best_bound=0.0, nodes=1)
 
     prop = _Propagator(model)
-    lp = _relaxation(model)
 
     incumbent = None
     inc_obj = np.inf
@@ -325,6 +345,8 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
     if not prop.propagate_all():
         return SolveResult(status="infeasible", assignment=None, objective=None,
                            best_bound=None, nodes=1)
+    # built only now: root propagation closes most infeasible depths without an LP
+    lp = _relaxation(model)
 
     descend = True  # process the current node next (vs. backtrack)
     while True:

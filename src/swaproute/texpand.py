@@ -88,22 +88,33 @@ def expand(g, inst, depth: int) -> TimeExpandedGraph:
     return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 
 
-def trim(teg: TimeExpandedGraph) -> TimeExpandedGraph:
+def team_distances(g, inst):
+    """Per team, the BFS hop distances of every node from the team's sources
+    and from its destinations, as a pair of arrays.  They depend only on the
+    graph and the instance, so one set serves every depth of a solve."""
+    return tuple((np.array(distances_from_set(g, inst.sources[k])),
+                  np.array(distances_from_set(g, inst.destinations[k])))
+                 for k in range(inst.team_count))
+
+
+def trim(teg: TimeExpandedGraph, distances=None) -> TimeExpandedGraph:
     """Remove per-team movements that no feasible solution can use.
 
     A movement i -> j at timestep t survives for team k only when i lies
     within t-1 hops of the team's sources (forward sweep) and j within
     T-t hops of its destinations (backward sweep).  Reachability is a BFS
     ball on the hardware graph, ignoring occupancy, so trimming is a sound
-    over-approximation and never cuts a feasible solution.
+    over-approximation and never cuts a feasible solution.  ``distances``
+    is ``team_distances`` of the expansion's graph and instance; it is
+    computed here when not given.
     """
     g, inst, depth, tables = teg.graph, teg.instance, teg.depth, teg.tables
+    if distances is None:
+        distances = team_distances(g, inst)
     steps = np.arange(depth)[:, None]  # t - 1 for t = 1..T
     mask = np.empty_like(teg.mask)
-    for k in range(inst.team_count):
-        d_src = np.array(distances_from_set(g, inst.sources[k]))[tables.origins]
-        d_dst = np.array(distances_from_set(g, inst.destinations[k]))[tables.targets]
-        mask[k] = (d_src <= steps) & (d_dst <= depth - 1 - steps)
+    for k, (d_src, d_dst) in enumerate(distances):
+        mask[k] = (d_src[tables.origins] <= steps) & (d_dst[tables.targets] <= depth - 1 - steps)
     return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 
 

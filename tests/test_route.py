@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 
 from swaproute import route
-from swaproute.graph import HardwareGraph, build_grid
+from swaproute.graph import HardwareGraph, build_grid, build_layout
 from swaproute.instance import MqpfInstance, random_instance
-from swaproute.noise import movement_costs
+from swaproute.noise import HERON, movement_costs, sample_error_map
 from swaproute.route import (RouteConfig, RouteError, lower_bound_dijkstra,
                              lower_bound_single_team, metrics,
                              schedule_from_paths, solution_to_json, solve_mqpf,
@@ -157,6 +158,56 @@ def test_timeout_reports_timed_out():
     sol = solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(timeout=0.0))
     assert sol.status == "timed_out"
     assert not sol.solved
+
+
+# (layout, qubits, seed) -> depth, cost and presolve_bound, with the single-team
+# bound below the hop bound in every case; instance seed s, heron noise seed s + 1000
+SINGLE_TEAM_CASES = {
+    ("grid:8x8", 8, 8): (10, 0.39161695751271963, 6),
+    ("grid:8x8", 8, 36): (12, 0.5558918608874196, 6),
+    ("grid:2x3", 2, 4): (3, 0.03716534423359309, 2),
+    ("grid:2x3", 3, 6): (3, 0.08512225315307742, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_TEAM_CASES),
+                         ids=lambda case: "{}-{}q-s{}".format(*case))
+def test_single_team_deepening_starts_at_hop_bound(case, monkeypatch):
+    layout, qubits, seed = case
+    g = build_layout(layout)
+    inst = random_instance(g, qubits, "independent", seed)
+    tried = []
+    build = route.model_at_depth
+
+    def recorded(g_, inst_, costs, depth, *args):
+        if inst_ is inst:  # not the merged instance of the presolve
+            tried.append(depth)
+        return build(g_, inst_, costs, depth, *args)
+    monkeypatch.setattr(route, "model_at_depth", recorded)
+    cfg = RouteConfig(error_model="extended", presolve="single_team",
+                      solver=SolverConfig(mode="near_optimal"))
+    sol = solve_mqpf(g, sample_error_map(g, HERON, seed + 1000), inst, cfg)
+    depth, cost, presolve_bound = SINGLE_TEAM_CASES[case]
+    hop_bound = lower_bound_dijkstra(g, inst)
+    assert presolve_bound < hop_bound
+    assert tried == list(range(hop_bound, depth + 1))
+    assert sol.solved and sol.depth == depth
+    assert sol.cost == pytest.approx(cost, rel=0, abs=1e-12)
+    assert sol.presolve_bound == presolve_bound
+
+
+@pytest.mark.parametrize("presolve", route.PRESOLVES)
+def test_timeout_bounds_wall_time(presolve):
+    # criterion-10 seed 2: several seconds to prove optimal in every presolve
+    g = build_layout("grid:8x8")
+    inst = random_instance(g, 8, "independent", 2)
+    emap = sample_error_map(g, HERON, 1002)
+    cfg = RouteConfig(error_model="extended", presolve=presolve, timeout=0.3,
+                      solver=SolverConfig(mode="optimal"))
+    start = time.monotonic()
+    sol = solve_mqpf(g, emap, inst, cfg)
+    assert sol.status == "timed_out"
+    assert time.monotonic() - start <= 0.3 + 0.5
 
 
 def test_invalid_instance_rejected():

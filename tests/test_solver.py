@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from swaproute import bilp, solver, texpand
+from swaproute import bilp, route, solver, texpand
 from swaproute.bilp import BilpModel, Row
 from swaproute.graph import build_grid
 from swaproute.instance import MqpfInstance, random_instance
@@ -16,6 +16,7 @@ from swaproute.noise import HERON, movement_costs, sample_error_map
 from swaproute.solver import SolverConfig, SolverError, export_lp, solve
 
 from conftest import uniform_error_map
+from test_bilp import PINNED_EXPORTS, pinned_model
 
 
 def toy_model(objective, rows):
@@ -179,6 +180,65 @@ def test_warm_relaxation_matches_cold_along_dive():
         else:
             assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
     assert infeasible == 1
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EXPORTS) + ["desk"])
+def test_array_handoff_matches_model_and_cold_lp(case):
+    pytest.importorskip("scipy.optimize._highspy._core")
+    model = desk_model() if case == "desk" else pinned_model(case)
+    lp = solver._LpRelaxation(model)
+    held = lp.highs.getLp()
+    a = held.a_matrix_
+    layout = sp.csr_matrix if a.format_ == solver._highs.MatrixFormat.kRowwise else sp.csc_matrix
+    shape = (model.row_count, model.var_count)
+    matrix = layout((a.value_, a.index_, a.start_), shape=shape).tocsr().sorted_indices()
+    expect = sp.csr_matrix((model.signs.astype(float), model.indices, model.indptr),
+                           shape=shape).sorted_indices()
+    assert (held.num_row_, held.num_col_) == shape
+    assert np.array_equal(matrix.indptr, model.indptr)
+    assert np.array_equal(matrix.indices, expect.indices)
+    assert np.array_equal(matrix.data, expect.data)
+    rhs = model.rhs.astype(float)
+    assert np.array_equal(held.row_lower_, np.where(model.eq, rhs, -np.inf))
+    assert np.array_equal(held.row_upper_, rhs)
+    assert np.array_equal(held.col_cost_, model.objective)
+    # the root relaxation gives the cold path's bound
+    values = np.full(model.var_count, -1, dtype=np.int8)
+    warm, cold = lp.bound(values), solver._ColdLp(model).bound(values)
+    if cold is None:
+        assert warm is None
+    else:
+        assert warm[0] == pytest.approx(cold[0], rel=0, abs=1e-9)
+
+
+def test_binding_without_array_pass_model_counts_as_absent(monkeypatch):
+    pytest.importorskip("scipy.optimize._highspy._core")
+    assert solver._has_array_pass_model()
+
+    class ModelObjectsOnly:
+        def setOptionValue(self, name, value):
+            pass
+
+        def passModel(self, lp):
+            raise AssertionError("the probe passed one model object")
+    monkeypatch.setattr(solver._highs, "_Highs", ModelObjectsOnly)
+    assert not solver._has_array_pass_model()
+
+
+def test_root_propagation_infeasible_builds_no_lp(monkeypatch):
+    calls = []
+    relaxation = solver._relaxation
+    monkeypatch.setattr(solver, "_relaxation", lambda model: calls.append(1) or relaxation(model))
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", 0)
+    costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
+    depth = route.lower_bound_dijkstra(g, inst) - 1
+    _, model = route.model_at_depth(g, inst, costs, depth)
+    res = solve(model)
+    assert res.status == "infeasible" and res.nodes == 1
+    assert not calls
+    # at the hop bound the same instance does reach the LP
+    assert solve(desk_model()).status == "optimal" and calls
 
 
 def test_lp_failure_raises_solver_error():
