@@ -9,7 +9,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import bilp, texpand
-from .graph import distances_from_set
 from .instance import merge_teams, validate as validate_instance
 from .noise import movement_costs
 from .solver import SolverConfig, solve
@@ -84,43 +83,81 @@ class RoutingSolution:
 def lower_bound_dijkstra(g, inst) -> int:
     """Admissible depth bound: each qubit needs at least its hop distance to
     the nearest destination of its own team; take the max over qubits."""
-    bound = 0
-    for k in range(inst.team_count):
-        dist = distances_from_set(g, inst.destinations[k])
-        for s in inst.sources[k]:
-            bound = max(bound, dist[s])
-    return bound
+    hops_from = texpand.graph_tables(g).hops_from
+    return max(min(map(hops_from(s).item, dst))
+               for src, dst in zip(inst.sources, inst.destinations) for s in src)
+
+
+def lower_bound_matching(g, inst) -> int | None:
+    """Admissible depth bound from a bottleneck assignment: the smallest T at
+    which every qubit can be matched to a distinct destination of its own
+    team within T hops of its source, or None when no such matching exists
+    at any T (the instance is then infeasible at every depth).
+
+    At the final step every qubit sits on a distinct destination of its
+    team, at most ``depth`` hops from its source, so the optimal depth is at
+    least this bound; and the bound is at least ``lower_bound_dijkstra``.
+    The matching grows by augmenting paths, one hop level at a time from the
+    hop bound up.
+    """
+    hops_from = texpand.graph_tables(g).hops_from
+    # per qubit: (destination, hops from its source) pairs of its own team
+    options = [[(v, hops_from(s).item(v)) for v in dst]
+               for src, dst in zip(inst.sources, inst.destinations) for s in src]
+    owner = {}  # destination -> the qubit matched to it
+
+    def augment(a, level, seen):
+        for v, d in options[a]:
+            if d <= level and v not in seen:
+                seen.add(v)
+                if v not in owner or augment(owner[v], level, seen):
+                    owner[v] = a
+                    return True
+        return False
+
+    free = range(len(options))
+    top = max(d for opts in options for _, d in opts)
+    for level in range(max(min(d for _, d in opts) for opts in options), top + 1):
+        # a qubit with no augmenting path now has none after later augmentations
+        # at this level either, so one try per free qubit makes the matching maximum
+        free = [a for a in free if not augment(a, level, set())]
+        if not free:
+            return level
+    return None
 
 
 def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     """Admissible depth bound from the single-team relaxation.
 
     Merging all teams can only shorten the optimal schedule, and the merged
-    instance solves orders of magnitude faster.  The merged solve deepens
-    from the merged instance's hop bound.  It runs within ``cfg.timeout`` and
-    raises ``PresolveIncomplete`` when it runs out of time or finds the
-    merged instance infeasible up to the depth cap (which makes the original
-    instance infeasible up to the same cap).  The bound can lie below
-    ``lower_bound_dijkstra`` of the original instance; ``_deepen`` starts at
-    the larger of the two.
+    instance solves orders of magnitude faster.  The merged solve runs under
+    the ``dijkstra`` presolve, so it deepens from the merged instance's
+    matching bound, and in ``feasible_first`` mode with unit movement costs
+    (``_MoveCount``): the depth it returns does not depend on the costs,
+    and positive ones steer its LP relaxations to integral vertices.  It
+    runs within ``cfg.timeout`` and raises ``PresolveIncomplete`` when it
+    runs out of time or finds the merged instance infeasible up to the depth
+    cap (which makes the original instance infeasible up to the same cap).
+    The bound can lie below ``lower_bound_matching`` of the original
+    instance; ``_deepen`` starts at the larger of the two.
     """
     cfg = cfg or RouteConfig()
     relaxed = merge_teams(inst)
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=replace(cfg.solver, mode="feasible_first"))
-    sol = _deepen(g, None, relaxed, sub, costs=_ZeroCosts())
+    sol = _deepen(g, None, relaxed, sub, costs=_MoveCount())
     if not sol.solved:
         raise PresolveIncomplete(sol.status)
     return sol.depth
 
 
 @dataclass(frozen=True)
-class _ZeroCosts:
-    # feasibility-only solves: every movement is free
+class _MoveCount:
+    # feasibility-only solves: one unit per movement, idling is free
     model: str = "simple"
 
     def movement_cost(self, i, j):
-        return 0.0
+        return float(i != j)
 
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:
@@ -134,15 +171,14 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     return _deepen(g, emap, inst, cfg, costs)
 
 
-def model_at_depth(g, inst, costs, depth, trim=True, timings=None, distances=None):
+def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
     """The time expansion at ``depth``, reachability-trimmed when ``trim`` is
-    set, and its BILP.  ``distances`` is ``texpand.team_distances(g, inst)``,
-    computed by the trim when not given.  Adds the seconds spent to
-    ``expand_s`` and ``build_s`` of ``timings`` when given."""
+    set, and its BILP.  Adds the seconds spent to ``expand_s`` and ``build_s``
+    of ``timings`` when given."""
     t0 = time.monotonic()
     teg = texpand.expand(g, inst, depth)
     if trim:
-        teg = texpand.trim(teg, distances)
+        teg = texpand.trim(teg)
     t1 = time.monotonic()
     model = bilp.build_model(teg, costs)
     if timings is not None:
@@ -156,10 +192,13 @@ def _deepen(g, emap, inst, cfg, costs):
     bound up to ``node_count ** 2`` and keep the first that is not
     infeasible, then the one ``depth_slack`` steps deeper when asked.
 
-    Under ``single_team`` the first depth is the larger of the single-team
-    bound and the hop bound: both are admissible, and the hop bound is often
-    the larger one.  ``presolve_bound`` reports the single-team bound.  All
-    budgets share ``cfg.timeout``.
+    Under ``dijkstra`` and ``single_team`` the first depth is the matching
+    bound (``lower_bound_matching``), under ``single_team`` raised to the
+    single-team bound when that is larger; ``presolve_bound`` reports the
+    hop bound or the single-team bound.  When no matching exists the
+    instance is infeasible at every depth and the result is
+    ``infeasible_up_to_cap`` at once, before any single-team presolve.
+    ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.
     """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
@@ -174,27 +213,24 @@ def _deepen(g, emap, inst, cfg, costs):
         return rem is not None and rem <= 0
 
     t0 = time.monotonic()
-    if cfg.presolve == "none":
-        bound = 0
-    elif cfg.presolve == "dijkstra":
-        bound = lower_bound_dijkstra(g, inst)
-    else:
-        try:
-            bound = lower_bound_single_team(g, inst, replace(cfg, timeout=remaining()))
-        except PresolveIncomplete as exc:
+    bound = first = 0
+    if cfg.presolve != "none":
+        first = lower_bound_matching(g, inst)
+        bound = lower_bound_dijkstra(g, inst) if cfg.presolve == "dijkstra" else None
+        if first is None:
             timings["presolve_s"] = time.monotonic() - t0
-            return _aborted(exc.status, None, timings, start)
-    first = bound
-    if cfg.presolve == "single_team":
-        first = max(bound, lower_bound_dijkstra(g, inst))
+            return _aborted("infeasible_up_to_cap", bound, timings, start)
+        if cfg.presolve == "single_team":
+            try:
+                bound = lower_bound_single_team(g, inst, replace(cfg, timeout=remaining()))
+            except PresolveIncomplete as exc:
+                timings["presolve_s"] = time.monotonic() - t0
+                return _aborted(exc.status, None, timings, start)
+            first = max(bound, first)
     timings["presolve_s"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    distances = texpand.team_distances(g, inst) if cfg.trim else None
-    timings["expand_s"] += time.monotonic() - t0
-
     def attempt(depth):
-        teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings, distances)
+        teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
         t0 = time.monotonic()
         res = solve(model, replace(cfg.solver, deadline=remaining()))
         timings["solve_s"] += time.monotonic() - t0

@@ -4,12 +4,13 @@ A depth-T expansion has T movement layers (timesteps 1..T).  Each layer holds
 one directed movement edge per direction of every hardware edge plus one idle
 self-loop per node, for ``2|E| + |V|`` movements per timestep.  Per-team
 boolean masks select the movements that survive trimming.  The movement
-tables depend on the graph alone and are built once per graph.
+tables depend on the graph alone and are built once per graph; so are the hop
+distances from each node, on its first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,18 @@ class GraphTables:
     moves_from: np.ndarray  # (V, max out) movements leaving each node, ascending
     moves_into: np.ndarray  # (V, max in) movements entering each node, ascending
     swap_moves: np.ndarray  # (2|E|, max degree + 1) the movements of each swap row
+    graph: object = field(repr=False)
+    _hop_rows: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def hops_from(self, v) -> np.ndarray:
+        """Read-only (V,) hop distances from node ``v``, one BFS on first use.
+        Rows are kept only for the nodes asked for, so memory grows with the
+        sources and destinations solved for, not with V squared."""
+        row = self._hop_rows.get(v)
+        if row is None:
+            row = self._hop_rows[v] = np.array(distances_from_set(self.graph, (v,)))
+            row.flags.writeable = False
+        return row
 
 
 def _frozen(rows, pad):
@@ -55,7 +68,7 @@ def graph_tables(g) -> GraphTables:
         moves=tuple(moves), origins=ends[0], targets=ends[1],
         moves_from=_frozen([np.flatnonzero(ends[0] == v) for v in nodes], len(moves)),
         moves_into=_frozen([np.flatnonzero(ends[1] == v) for v in nodes], len(moves)),
-        swap_moves=_frozen(swaps, len(moves)))
+        swap_moves=_frozen(swaps, len(moves)), graph=g)
 
 
 @dataclass(frozen=True)
@@ -89,31 +102,32 @@ def expand(g, inst, depth: int) -> TimeExpandedGraph:
 
 
 def team_distances(g, inst):
-    """Per team, the BFS hop distances of every node from the team's sources
-    and from its destinations, as a pair of arrays.  They depend only on the
-    graph and the instance, so one set serves every depth of a solve."""
-    return tuple((np.array(distances_from_set(g, inst.sources[k])),
-                  np.array(distances_from_set(g, inst.destinations[k])))
-                 for k in range(inst.team_count))
+    """Per team, the hop distances of every node from the team's sources and
+    from its destinations, as a pair of arrays built from the cached
+    ``GraphTables.hops_from`` rows."""
+    hops_from = graph_tables(g).hops_from
+
+    def nearest(nodes):
+        if len(nodes) == 1:
+            return hops_from(nodes[0])
+        return np.minimum.reduce([hops_from(v) for v in nodes])
+    return tuple((nearest(src), nearest(dst))
+                 for src, dst in zip(inst.sources, inst.destinations))
 
 
-def trim(teg: TimeExpandedGraph, distances=None) -> TimeExpandedGraph:
+def trim(teg: TimeExpandedGraph) -> TimeExpandedGraph:
     """Remove per-team movements that no feasible solution can use.
 
     A movement i -> j at timestep t survives for team k only when i lies
     within t-1 hops of the team's sources (forward sweep) and j within
     T-t hops of its destinations (backward sweep).  Reachability is a BFS
     ball on the hardware graph, ignoring occupancy, so trimming is a sound
-    over-approximation and never cuts a feasible solution.  ``distances``
-    is ``team_distances`` of the expansion's graph and instance; it is
-    computed here when not given.
+    over-approximation and never cuts a feasible solution.
     """
     g, inst, depth, tables = teg.graph, teg.instance, teg.depth, teg.tables
-    if distances is None:
-        distances = team_distances(g, inst)
     steps = np.arange(depth)[:, None]  # t - 1 for t = 1..T
     mask = np.empty_like(teg.mask)
-    for k, (d_src, d_dst) in enumerate(distances):
+    for k, (d_src, d_dst) in enumerate(team_distances(g, inst)):
         mask[k] = (d_src[tables.origins] <= steps) & (d_dst[tables.targets] <= depth - 1 - steps)
     return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 

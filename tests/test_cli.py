@@ -74,6 +74,18 @@ def test_solve_timeout_exit_code(capsys):
     assert "timed_out" in err
 
 
+def test_solve_infeasible_exit_code(tmp_path, capsys):
+    # two one-qubit teams with the same only destination: no depth can serve both
+    inst = MqpfInstance(sources=((0,), (1,)), destinations=((15,), (15,)), flexible=True)
+    f = tmp_path / "inst.txt"
+    f.write_text(save_instance(inst))
+    for presolve in ("dijkstra", "single_team"):
+        code, _, err = run_cli(["solve", "--layout", "grid:4x4", "--instance", str(f),
+                                "--presolve", presolve, "--timeout", "60"], capsys)
+        assert code == 4
+        assert "infeasible_up_to_cap" in err
+
+
 def test_bench_row_counts(capsys):
     code, out, _ = run_cli(["bench", "--layout", "grid:1x3", "--qubits", "1..3",
                             "--instances", "2", "--modes", "optimal",

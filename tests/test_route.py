@@ -4,17 +4,17 @@ import time
 
 import pytest
 
-from swaproute import route
-from swaproute.graph import HardwareGraph, build_grid, build_layout
-from swaproute.instance import MqpfInstance, random_instance
+from swaproute import oracle, route, texpand
+from swaproute.graph import HardwareGraph, build_grid, build_layout, distances_from_set
+from swaproute.instance import MqpfInstance, merge_teams, random_instance
 from swaproute.noise import HERON, movement_costs, sample_error_map
 from swaproute.route import (RouteConfig, RouteError, lower_bound_dijkstra,
-                             lower_bound_single_team, metrics,
+                             lower_bound_matching, lower_bound_single_team, metrics,
                              schedule_from_paths, solution_to_json, solve_mqpf,
                              validate)
 from swaproute.solver import SolverConfig
 
-from conftest import uniform_error_map
+from conftest import build_cycle, random_maybe_flexible_instance, uniform_error_map
 
 
 def relabeled_path4():
@@ -54,6 +54,136 @@ def test_single_team_bound_swap_pair_is_zero():
     g = build_grid(1, 2)
     inst = MqpfInstance(sources=((0,), (1,)), destinations=((1,), (0,)))
     assert lower_bound_single_team(g, inst) == 0
+
+
+def test_matching_bound_one_qubit_teams_is_hop_bound():
+    g = build_grid(1, 4)
+    inst = MqpfInstance(sources=((0,), (3,)), destinations=((3,), (0,)))
+    assert lower_bound_matching(g, inst) == lower_bound_dijkstra(g, inst) == 3
+
+
+def test_matching_bound_between_hop_bound_and_oracle():
+    # the criterion-1 generator: every team mode, strict and flexible
+    above = 0
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            hop, matching = lower_bound_dijkstra(g, inst), lower_bound_matching(g, inst)
+            assert hop <= matching <= oracle.bfs_optimal_depth(g, inst)
+            above += matching > hop
+    assert above > 0
+
+
+def relabeled_path6_instance():
+    # qubits 3 and 4 both have destination 5 nearest, so one of them goes to 0
+    return MqpfInstance(sources=((3, 4), (2, 5)), destinations=((0, 5), (1, 3)),
+                        flexible=True)
+
+
+def record_depths(monkeypatch, inst):
+    """The depths of the models built for ``inst`` (not for a merged instance)."""
+    tried = []
+    build = route.model_at_depth
+
+    def recorded(g_, inst_, costs, depth, *args):
+        if inst_ is inst:
+            tried.append(depth)
+        return build(g_, inst_, costs, depth, *args)
+    monkeypatch.setattr(route, "model_at_depth", recorded)
+    return tried
+
+
+def test_dijkstra_deepening_starts_at_matching_bound(monkeypatch):
+    g = build_grid(1, 6)
+    inst = relabeled_path6_instance()
+    assert (lower_bound_dijkstra(g, inst), lower_bound_matching(g, inst)) == (2, 3)
+    tried = record_depths(monkeypatch, inst)
+    sol = solve_mqpf(g, uniform_error_map(g), inst)
+    assert sol.solved and sol.depth == oracle.bfs_optimal_depth(g, inst) == 4
+    assert tried == [3, 4]
+    assert sol.presolve_bound == 2
+
+
+def shared_destination_instance():
+    # two one-qubit teams whose only destination is the same node
+    return MqpfInstance(sources=((0,), (1,)), destinations=((15,), (15,)), flexible=True)
+
+
+@pytest.mark.parametrize("presolve,presolve_bound", [("dijkstra", 6), ("single_team", None)])
+def test_no_matching_is_infeasible_at_once(presolve, presolve_bound, monkeypatch):
+    g = build_grid(4, 4)
+    inst = shared_destination_instance()
+    assert lower_bound_matching(g, inst) is None
+    tried = record_depths(monkeypatch, inst)
+    start = time.monotonic()
+    sol = solve_mqpf(g, uniform_error_map(g), inst,
+                     RouteConfig(presolve=presolve, timeout=60))
+    assert time.monotonic() - start < 1.0
+    assert sol.status == "infeasible_up_to_cap"
+    assert sol.presolve_bound == presolve_bound
+    assert tried == []
+
+
+# lower_bound_single_team before the matching-bound start and the unit movement
+# costs of the merged solve: desk8x8 seeds 0..9, then criterion-1 instances
+# (graph, seed) with a multi-qubit team
+DESK_SINGLE_TEAM_BOUNDS = {0: 5, 1: 4, 2: 5, 3: 6, 4: 4, 5: 6, 6: 4, 7: 5, 8: 6, 9: 4}
+TINY_SINGLE_TEAM_BOUNDS = {
+    ("path6", 2): 1, ("path6", 5): 1, ("path6", 7): 3, ("path6", 10): 2,
+    ("path6", 11): 2, ("path6", 13): 2, ("path6", 14): 1,
+    ("cycle6", 2): 1, ("cycle6", 5): 1, ("cycle6", 7): 2, ("cycle6", 10): 2,
+    ("cycle6", 11): 2, ("cycle6", 13): 1, ("cycle6", 14): 1,
+    ("grid2x3", 2): 1, ("grid2x3", 5): 2, ("grid2x3", 7): 2, ("grid2x3", 10): 2,
+    ("grid2x3", 11): 2, ("grid2x3", 13): 2, ("grid2x3", 14): 3,
+}
+TINY_GRAPHS = {"path6": build_grid(1, 6), "cycle6": build_cycle(6),
+               "grid2x3": build_grid(2, 3)}
+
+
+def single_team_cases():
+    g = build_layout("grid:8x8")
+    for seed, bound in DESK_SINGLE_TEAM_BOUNDS.items():
+        yield g, random_instance(g, 8, "independent", seed), bound
+    for (name, seed), bound in TINY_SINGLE_TEAM_BOUNDS.items():
+        g = TINY_GRAPHS[name]
+        inst = random_maybe_flexible_instance(
+            g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed, seed % 2 == 1)
+        assert max(map(len, inst.sources)) > 1
+        yield g, inst, bound
+
+
+def test_single_team_bound_pinned(monkeypatch):
+    merged_depths = []
+    build = route.model_at_depth
+
+    def recorded(g_, inst_, costs, depth, *args):
+        merged_depths.append(depth)
+        return build(g_, inst_, costs, depth, *args)
+    monkeypatch.setattr(route, "model_at_depth", recorded)
+    for g, inst, bound in single_team_cases():
+        merged_depths.clear()
+        assert lower_bound_single_team(g, inst) == bound
+        assert merged_depths[0] == lower_bound_matching(g, merge_teams(inst))
+        assert merged_depths[-1] == bound
+
+
+@pytest.mark.parametrize("presolve", route.PRESOLVES)
+def test_solve_runs_one_bfs_per_source_and_destination_node(presolve, monkeypatch):
+    g = build_grid(3, 3)
+    texpand.graph_tables.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return distances_from_set(*args)
+    monkeypatch.setattr(texpand, "distances_from_set", counted)
+    inst = random_instance(g, 4, "mixed", 3)
+    for _ in range(2):
+        assert solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(presolve=presolve)).solved
+    assert sorted(calls) == [(v,) for v in sorted({*sum(inst.sources, ()),
+                                                   *sum(inst.destinations, ())})]
 
 
 def test_solve_already_solved():

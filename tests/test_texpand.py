@@ -1,8 +1,8 @@
 import numpy as np
 
 from swaproute import texpand
-from swaproute.graph import build_grid
-from swaproute.instance import MqpfInstance
+from swaproute.graph import build_grid, build_layout, distances_from_set
+from swaproute.instance import MqpfInstance, random_instance
 
 
 def team1(src, dst, flexible=False):
@@ -91,6 +91,42 @@ def test_graph_tables_built_once_per_graph():
     assert tables is texpand.graph_tables(build_grid(3, 3))
     assert texpand.trim(texpand.expand(g, team1([2], [6]), 2)).tables is tables
     assert not tables.moves_from.flags.writeable
+
+
+def test_hop_rows_match_bfs():
+    for g in (build_grid(3, 4), build_layout("paris27")):
+        tables = texpand.graph_tables(g)
+        for v in range(g.node_count):
+            row = tables.hops_from(v)
+            assert not row.flags.writeable
+            assert row.tolist() == distances_from_set(g, [v])
+            assert tables.hops_from(v) is row
+
+
+def test_hop_rows_built_only_for_the_nodes_asked_for(monkeypatch):
+    g = build_grid(30, 30)
+    texpand.graph_tables.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return distances_from_set(*args)
+    monkeypatch.setattr(texpand, "distances_from_set", counted)
+    inst = MqpfInstance(sources=((0,), (899,)), destinations=((899,), (0,)))
+    texpand.team_distances(g, inst)
+    texpand.team_distances(g, inst)
+    assert sorted(calls) == [(0,), (899,)]
+
+
+def test_team_distances_match_bfs():
+    g = build_grid(4, 4)
+    for seed in range(6):
+        inst = random_instance(g, 6, ("independent", "mixed", "single")[seed % 3], seed)
+        dist = texpand.team_distances(g, inst)
+        assert len(dist) == inst.team_count
+        for (d_src, d_dst), src, dst in zip(dist, inst.sources, inst.destinations):
+            assert d_src.tolist() == distances_from_set(g, src)
+            assert d_dst.tolist() == distances_from_set(g, dst)
 
 
 def test_to_dot_smoke():
