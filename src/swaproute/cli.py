@@ -75,13 +75,18 @@ def _solve_args(sub):
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="optimal")
     p.add_argument("--error-model", choices=noise.ERROR_MODELS, default="extended")
     p.add_argument("--depth-slack", type=int, default=0)
-    p.add_argument("--presolve", choices=route.PRESOLVES, default="dijkstra")
+    p.add_argument("--presolve", choices=route.PRESOLVES, default="dijkstra",
+                   help="where deepening starts: 'dijkstra' at the bottleneck-assignment "
+                        "bound, 'single_team' at the larger of that and the single-team "
+                        "bound, 'none' at depth 0; 'none' deepens an instance with no "
+                        "destination assignment up to the node_count^2 cap on purpose, "
+                        "as an independent witness that the other bounds are sound")
     p.add_argument("--no-trim", action="store_true", help="disable variable trimming")
     p.add_argument("--timeout", type=float, default=None, help="seconds")
     p.add_argument("--flexible", action="store_true",
                    help="treat destinations as flexible (teams may share)")
     p.add_argument("--export-lp", metavar="PATH",
-                   help="write the model at the presolve lower-bound depth in LP "
+                   help="write the model at the hop lower-bound depth in LP "
                         "format and exit without solving")
     p.add_argument("--out", metavar="PATH", help="write the solution JSON here")
     p.set_defaults(func=cmd_solve)

@@ -10,16 +10,14 @@ search order so their incumbents are comparable.
 
 Root propagation comes first and alone closes most infeasible depths, so a
 ``solve`` call builds its LP only once the root survives it.  The
-relaxations are warm-started: the call hands its CSR arrays once to scipy's
-bundled HiGHS binding (``scipy.optimize._highspy``, scipy >= 1.15) through
-the array overload of ``passModel`` and, at each node, changes only the
-column bounds of the fixings before re-solving from the previous basis.
-Without that binding, or when it lacks the array overload, every node makes
-one cold ``linprog`` call instead, with the same bounds and about three
-times the run time.  A degenerate relaxation may stop at a different vertex
-on the two paths, so node counts can differ between them; optima do not.
-Under a deadline each warm re-solve runs with a HiGHS time limit of the time
-left, and one that hits it ends the solve as ``deadline_exceeded``.
+relaxations are warm-started on scipy's bundled HiGHS binding
+(``scipy.optimize._highspy._core``, hence scipy >= 1.15): the call hands its
+CSR arrays once to the array overload of ``passModel`` and, at each node,
+changes only the column bounds of the fixings before re-solving from the
+previous basis.  A binding that is missing fails the import, and one whose
+``passModel`` takes no arrays raises ``SolverError``.  Under a deadline each
+re-solve runs with a HiGHS time limit of the time left, and one that hits it
+ends the solve as ``deadline_exceeded``.
 """
 
 from __future__ import annotations
@@ -28,44 +26,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+# a name only: perfbench/spans.py wraps solver.linprog, and Tracer.install fails without it
+from scipy.optimize import linprog  # noqa: F401
 
 try:
     from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
-_HIGHS_API = ("passModel", "setOptionValue", "changeColsBounds", "run", "getModelStatus",
-              "modelStatusToString", "getInfo", "getSolution", "getRunTime")
-
-
-def _pass_rows(highs, cost, row_lower, row_upper, start, index, value):
-    """Hands HiGHS the LP min ``cost @ x`` s.t. ``row_lower <= A x <= row_upper``
-    and ``0 <= x <= 1``, with A as row-wise CSR arrays, through the array
-    overload of ``passModel``."""
-    n = len(cost)
-    return highs.passModel(n, len(start) - 1, len(index), _highs.MatrixFormat.kRowwise,
-                           _highs.ObjSense.kMinimize, 0.0, cost, np.zeros(n), np.ones(n),
-                           row_lower, row_upper, start, index, value,
-                           np.zeros(n, dtype=np.int32))
-
-
-def _has_array_pass_model():
-    """Whether the binding takes a model as arrays, probed with a one-column LP."""
-    none = np.zeros(0)
-    try:
-        probe = _highs._Highs()
-        probe.setOptionValue("output_flag", False)
-        status = _pass_rows(probe, np.zeros(1), none, none, np.zeros(1, dtype=np.int32),
-                            np.zeros(0, dtype=np.int32), none)
-    except (AttributeError, TypeError):
-        return False
-    return status == _highs.HighsStatus.kOk
-
-
-if _highs is not None and not (all(hasattr(_highs._Highs, f) for f in _HIGHS_API)
-                               and _has_array_pass_model()):
-    _highs = None
+except ImportError as exc:
+    raise ImportError("swaproute needs scipy >= 1.15 for its bundled HiGHS binding "
+                      "scipy.optimize._highspy._core") from exc
 
 MODES = ("optimal", "near_optimal", "feasible_first")
 
@@ -200,11 +168,6 @@ class _Propagator:
         return True
 
 
-def _col_bounds(values):
-    """Column bounds of the subproblem with ``values`` fixed (-1 = free)."""
-    return np.where(values == 1, 1.0, 0.0), np.where(values == 0, 0.0, 1.0)
-
-
 class _LpTimeLimit(Exception):
     """An LP relaxation ran out of the solve's remaining time."""
 
@@ -226,8 +189,14 @@ class _LpRelaxation:
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
-        status = _pass_rows(self.highs, model.objective, np.where(model.eq, rhs, -np.inf), rhs,
-                            model.indptr, model.indices, model.signs.astype(float))
+        try:
+            status = self.highs.passModel(
+                n, model.row_count, len(model.indices), _highs.MatrixFormat.kRowwise,
+                _highs.ObjSense.kMinimize, 0.0, model.objective, self.lb, self.ub,
+                np.where(model.eq, rhs, -np.inf), rhs, model.indptr, model.indices,
+                model.signs.astype(float), np.zeros(n, dtype=np.int32))
+        except TypeError as exc:
+            raise SolverError(f"HiGHS passModel takes no model as arrays: {exc}") from exc
         if status == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP relaxation")
 
@@ -238,7 +207,7 @@ class _LpRelaxation:
         Raises ``_LpTimeLimit`` when the solve takes longer than
         ``time_left`` seconds.
         """
-        lb, ub = _col_bounds(values)
+        lb, ub = np.where(values == 1, 1.0, 0.0), np.where(values == 0, 0.0, 1.0)
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub)).astype(np.int32)
         if changed.size:
             self.highs.changeColsBounds(changed.size, changed, lb[changed], ub[changed])
@@ -260,34 +229,6 @@ class _LpRelaxation:
                               + self.highs.modelStatusToString(status))
         return (self.highs.getInfo().objective_function_value,
                 np.asarray(self.highs.getSolution().col_value))
-
-
-class _ColdLp:
-    """One cold scipy ``linprog`` call per node: the fallback for scipy
-    releases that bundle no HiGHS binding.  It checks the deadline only
-    between nodes, so it ignores ``time_left``."""
-
-    def __init__(self, model):
-        a = sp.csr_matrix((model.signs.astype(float), model.indices, model.indptr),
-                          shape=(model.row_count, model.var_count))
-        eq, rhs = model.eq, model.rhs.astype(float)
-        self.c = model.objective
-        self.a_eq, self.b_eq = (a[eq], rhs[eq]) if eq.any() else (None, None)
-        self.a_ub, self.b_ub = (a[~eq], rhs[~eq]) if not eq.all() else (None, None)
-
-    def bound(self, values, time_left=None):
-        lb, ub = _col_bounds(values)
-        res = linprog(self.c, A_ub=self.a_ub, b_ub=self.b_ub, A_eq=self.a_eq,
-                      b_eq=self.b_eq, bounds=np.column_stack([lb, ub]), method="highs")
-        if res.status == 2:
-            return None
-        if res.status != 0:
-            raise SolverError(f"LP relaxation failed with status {res.status}: {res.message}")
-        return res.fun, res.x
-
-
-def _relaxation(model):
-    return _LpRelaxation(model) if _highs is not None else _ColdLp(model)
 
 
 def _check_assignment(model, x):
@@ -346,7 +287,7 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
         return SolveResult(status="infeasible", assignment=None, objective=None,
                            best_bound=None, nodes=1)
     # built only now: root propagation closes most infeasible depths without an LP
-    lp = _relaxation(model)
+    lp = _LpRelaxation(model)
 
     descend = True  # process the current node next (vs. backtrack)
     while True:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from swaproute import cli, solver
+from swaproute import cli, oracle, solver
 from swaproute.graph import build_grid
 from swaproute.instance import MqpfInstance, save_instance
 from swaproute.noise import save_error_map
@@ -158,6 +158,16 @@ def test_oracle_check_reproducible(capsys):
     assert out1 == out2
 
 
+def test_oracle_check_mismatch_exit_code(capsys, monkeypatch):
+    true_depth = oracle.bfs_optimal_depth
+    monkeypatch.setattr(oracle, "bfs_optimal_depth", lambda g, inst: true_depth(g, inst) + 1)
+    code, out, err = run_cli(["oracle-check", "--nodes-max", "5", "--samples", "3",
+                              "--seed", "4"], capsys)
+    assert code == 5
+    assert "MISMATCH sample 0" in err
+    assert "3 mismatches / 3 samples" in out
+
+
 def test_presolve_timeout_exit_code(capsys):
     code, _, err = run_cli(["solve", "--layout", "grid:8x8", "--random", "8",
                             "--seed", "2", "--noise-seed", "1002",
@@ -173,7 +183,7 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
 
         def bound(self, values, time_left=None):
             raise solver.SolverError("LP relaxation failed: Iteration limit reached")
-    monkeypatch.setattr(solver, "_relaxation", FailingLp)
+    monkeypatch.setattr(solver, "_LpRelaxation", FailingLp)
     code, _, err = run_cli(["solve", "--layout", "grid:4x4", "--random", "4",
                             "--seed", "0"], capsys)
     assert code == 6

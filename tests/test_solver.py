@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from swaproute import bilp, route, solver, texpand
+from swaproute import bilp, cli, route, solver, texpand
 from swaproute.bilp import BilpModel, Row
 from swaproute.graph import build_grid
 from swaproute.instance import MqpfInstance, random_instance
@@ -83,10 +85,6 @@ def test_one_swap_objective():
 
 
 def test_solver_matches_brute_force():
-    check_brute_force_corpus()
-
-
-def check_brute_force_corpus():
     rng = np.random.default_rng(0)
     checked = 0
     for seed in range(60):
@@ -147,7 +145,6 @@ def desk_model():
 
 
 def test_warm_relaxation_matches_cold_along_dive():
-    pytest.importorskip("scipy.optimize._highspy._core")
     model = desk_model()
     lp = solver._LpRelaxation(model)
     values = np.full(model.var_count, -1, dtype=np.int8)
@@ -184,7 +181,6 @@ def test_warm_relaxation_matches_cold_along_dive():
 
 @pytest.mark.parametrize("case", sorted(PINNED_EXPORTS) + ["desk"])
 def test_array_handoff_matches_model_and_cold_lp(case):
-    pytest.importorskip("scipy.optimize._highspy._core")
     model = desk_model() if case == "desk" else pinned_model(case)
     lp = solver._LpRelaxation(model)
     held = lp.highs.getLp()
@@ -202,33 +198,45 @@ def test_array_handoff_matches_model_and_cold_lp(case):
     assert np.array_equal(held.row_lower_, np.where(model.eq, rhs, -np.inf))
     assert np.array_equal(held.row_upper_, rhs)
     assert np.array_equal(held.col_cost_, model.objective)
-    # the root relaxation gives the cold path's bound
+    # the root relaxation gives the cold reference bound
     values = np.full(model.var_count, -1, dtype=np.int8)
-    warm, cold = lp.bound(values), solver._ColdLp(model).bound(values)
+    warm, cold = lp.bound(values), cold_relaxation(model, values)
     if cold is None:
         assert warm is None
     else:
-        assert warm[0] == pytest.approx(cold[0], rel=0, abs=1e-9)
+        assert warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
 
 
-def test_binding_without_array_pass_model_counts_as_absent(monkeypatch):
-    pytest.importorskip("scipy.optimize._highspy._core")
-    assert solver._has_array_pass_model()
-
+def test_binding_without_array_pass_model_is_solver_error(monkeypatch, capsys):
     class ModelObjectsOnly:
         def setOptionValue(self, name, value):
             pass
 
         def passModel(self, lp):
-            raise AssertionError("the probe passed one model object")
+            raise AssertionError("the solver passed one model object")
     monkeypatch.setattr(solver._highs, "_Highs", ModelObjectsOnly)
-    assert not solver._has_array_pass_model()
+    g = build_grid(2, 2)
+    model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
+    with pytest.raises(SolverError, match="passModel takes no model as arrays"):
+        solve(model)
+    assert cli.main(["solve", "--layout", "grid:4x4", "--random", "4", "--seed", "0"]) == 6
+    assert "passModel takes no model as arrays" in capsys.readouterr().err
+
+
+def test_missing_binding_fails_import_naming_scipy_floor(monkeypatch):
+    import scipy.optimize._highspy as highspy
+    monkeypatch.delattr(highspy, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    spec = importlib.util.spec_from_file_location("solver_without_binding", solver.__file__)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_root_propagation_infeasible_builds_no_lp(monkeypatch):
     calls = []
-    relaxation = solver._relaxation
-    monkeypatch.setattr(solver, "_relaxation", lambda model: calls.append(1) or relaxation(model))
+    relaxation = solver._LpRelaxation
+    monkeypatch.setattr(solver, "_LpRelaxation",
+                        lambda model: calls.append(1) or relaxation(model))
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", 0)
     costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
@@ -242,37 +250,12 @@ def test_root_propagation_infeasible_builds_no_lp(monkeypatch):
 
 
 def test_lp_failure_raises_solver_error():
-    pytest.importorskip("scipy.optimize._highspy._core")
     g = build_grid(2, 2)
     model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
     lp = solver._LpRelaxation(model)
     lp.highs.setOptionValue("simplex_iteration_limit", 0)
     with pytest.raises(SolverError, match="LP relaxation failed"):
         lp.bound(np.full(model.var_count, -1, dtype=np.int8))
-
-
-def test_warm_path_taken_when_highs_binding_present(monkeypatch):
-    pytest.importorskip("scipy.optimize._highspy._core")
-    g = build_grid(2, 2)
-    model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
-    assert isinstance(solver._relaxation(model), solver._LpRelaxation)
-
-    def no_cold_calls(*args, **kwargs):
-        raise AssertionError("the solver called linprog despite the HiGHS binding")
-    monkeypatch.setattr(solver, "linprog", no_cold_calls)
-    assert solve(model).status == "optimal"
-
-
-def test_cold_fallback_matches_brute_force(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-    monkeypatch.setattr(solver, "_highs", None)
-    monkeypatch.setattr(solver, "linprog", counted)
-    check_brute_force_corpus()
-    assert calls
 
 
 def test_determinism():
@@ -323,7 +306,6 @@ def test_deadline_zero():
 
 
 def test_lp_time_limit_ends_solve_as_deadline_exceeded(monkeypatch):
-    pytest.importorskip("scipy.optimize._highspy._core")
     model = desk_model()
     lp = solver._LpRelaxation(model)
     with pytest.raises(solver._LpTimeLimit):
