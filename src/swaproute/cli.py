@@ -39,6 +39,30 @@ class UsageError(Exception):
     pass
 
 
+def _positive_seconds(text):
+    """argparse type of ``--timeout``: seconds > 0, ``inf`` allowed, ``nan`` not."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seconds, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _int_at_least(low):
+    """argparse type of an integer option that must be >= ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _load_layout(args):
     try:
         g = graph.build_layout(args.layout)
@@ -82,7 +106,7 @@ def _solve_args(sub):
                         "destination assignment up to the node_count^2 cap on purpose, "
                         "as an independent witness that the other bounds are sound")
     p.add_argument("--no-trim", action="store_true", help="disable variable trimming")
-    p.add_argument("--timeout", type=float, default=None, help="seconds")
+    p.add_argument("--timeout", type=_positive_seconds, default=None, help="seconds, > 0")
     p.add_argument("--flexible", action="store_true",
                    help="treat destinations as flexible (teams may share)")
     p.add_argument("--export-lp", metavar="PATH",
@@ -151,7 +175,8 @@ def _bench_args(sub):
     p.add_argument("--modes", default="optimal",
                    help="comma list from: " + ", ".join(sorted(_MODE_NAMES)))
     p.add_argument("--error-model", choices=noise.ERROR_MODELS, default="extended")
-    p.add_argument("--timeout", type=float, default=3600.0, help="seconds per instance")
+    p.add_argument("--timeout", type=_positive_seconds, default=3600.0,
+                   help="seconds per instance, > 0")
     p.add_argument("--noise-preset", choices=sorted(noise.PRESETS), default="heron")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -222,8 +247,9 @@ def cmd_bench(args):
 def _oracle_args(sub):
     p = sub.add_parser("oracle-check",
                        help="cross-check the solver against brute-force ground truth")
-    p.add_argument("--nodes-max", type=int, default=8)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--nodes-max", type=_int_at_least(2), default=8,
+                   help="largest random graph, in nodes (>= 2)")
+    p.add_argument("--samples", type=_int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -8,8 +8,9 @@ unit-coefficient rows.  Branching picks the most fractional relaxation
 variable, ties broken by ordinal, and all solver modes share the same
 search order so their incumbents are comparable.
 
-Root propagation comes first and alone closes most infeasible depths, so a
-``solve`` call builds its LP only once the root survives it.  The
+Root propagation comes first and alone closes most infeasible depths, and a
+node whose variables are all fixed is its own relaxation, so a ``solve``
+call builds its LP only at the first node that leaves a variable free.  The
 relaxations are warm-started on scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core``, hence scipy >= 1.15): the call hands its
 CSR arrays once to the array overload of ``passModel`` and, at each node,
@@ -286,8 +287,7 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
     if not prop.propagate_all():
         return SolveResult(status="infeasible", assignment=None, objective=None,
                            best_bound=None, nodes=1)
-    # built only now: root propagation closes most infeasible depths without an LP
-    lp = _LpRelaxation(model)
+    lp = None  # built at the first node that leaves a variable free
 
     descend = True  # process the current node next (vs. backtrack)
     while True:
@@ -300,49 +300,52 @@ def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
             if fixed_cost >= inc_obj - _OBJ_TOL:
                 descend = False
                 continue
-            try:
-                relaxed = lp.bound(prop.values,
-                                   None if deadline is None else deadline - time.monotonic())
-            except _LpTimeLimit:
-                return result("deadline_exceeded")
-            if relaxed is None:
-                descend = False
-                continue
-            bound, x = relaxed
-            if bound >= inc_obj - _OBJ_TOL:
-                descend = False
-                continue
-            frac = np.abs(x - np.round(x))
             free = prop.values == -1
-            if not free.any() or frac[free].max() <= _INT_TOL:
+            if not free.any():
+                # the node is its own relaxation, and its bound fixed_cost survived the prune
+                cand = prop.values.copy()
+            else:
+                if lp is None:
+                    lp = _LpRelaxation(model)
+                try:
+                    relaxed = lp.bound(prop.values,
+                                       None if deadline is None else deadline - time.monotonic())
+                except _LpTimeLimit:
+                    return result("deadline_exceeded")
+                if relaxed is None:
+                    descend = False
+                    continue
+                bound, x = relaxed
+                if bound >= inc_obj - _OBJ_TOL:
+                    descend = False
+                    continue
+                if np.abs(x - np.round(x))[free].max() > _INT_TOL:
+                    # branch on the most fractional free variable, ties by ordinal
+                    score = np.where(free, 0.5 - np.abs(x - 0.5), -1.0)
+                    v = int(np.argmax(score))
+                    preferred = 1 if x[v] >= 0.5 else 0
+                    stack.append([v, (preferred, 1 - preferred), 0, prop.mark(), bound])
+                    frame = stack[-1]
+                    frame[2] = 1
+                    descend = prop.assign(v, frame[1][0])
+                    continue
                 cand = np.round(x).astype(np.int8)
                 cand[prop.values == 1] = 1
                 cand[prop.values == 0] = 0
-                if not _check_assignment(model, cand):
-                    raise SolverError("integral relaxation failed exact feasibility check")
-                obj = float(c @ cand)
-                if obj < inc_obj:
-                    incumbent = cand
-                    inc_obj = obj
-                    if cfg.mode == "feasible_first":
-                        glb = global_bound()
-                        rel = (inc_obj - glb) / max(inc_obj, 1e-12)
-                        return result("feasible", gap=max(rel, 0.0))
-                    if cfg.mode == "near_optimal":
-                        g = gap_met()
-                        if g is not None:
-                            return result("feasible", gap=max(g, 0.0))
-                descend = False
-                continue
-            # branch on the most fractional free variable, ties by ordinal
-            score = np.where(free, 0.5 - np.abs(x - 0.5), -1.0)
-            v = int(np.argmax(score))
-            preferred = 1 if x[v] >= 0.5 else 0
-            stack.append([v, (preferred, 1 - preferred), 0, prop.mark(), bound])
-            frame = stack[-1]
-            frame[2] = 1
-            if prop.assign(v, frame[1][0]):
-                continue
+            if not _check_assignment(model, cand):
+                raise SolverError("integral relaxation failed exact feasibility check")
+            obj = float(c @ cand)
+            if obj < inc_obj:
+                incumbent = cand
+                inc_obj = obj
+                if cfg.mode == "feasible_first":
+                    glb = global_bound()
+                    rel = (inc_obj - glb) / max(inc_obj, 1e-12)
+                    return result("feasible", gap=max(rel, 0.0))
+                if cfg.mode == "near_optimal":
+                    g = gap_met()
+                    if g is not None:
+                        return result("feasible", gap=max(g, 0.0))
             descend = False
         else:
             if cfg.mode == "near_optimal":

@@ -69,9 +69,27 @@ def test_unknown_layout_usage_error(capsys):
 
 def test_solve_timeout_exit_code(capsys):
     code, _, err = run_cli(["solve", "--layout", "grid:4x4", "--random", "6",
-                            "--seed", "0", "--timeout", "0"], capsys)
+                            "--seed", "0", "--timeout", "1e-9"], capsys)
     assert code == 3
     assert "timed_out" in err
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "abc"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--layout", "grid:1x2", "--random", "2"],
+    ["bench", "--layout", "grid:1x2", "--qubits", "1", "--instances", "1"]])
+def test_timeout_not_positive_is_usage_error(command, timeout, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--timeout", timeout])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+def test_infinite_timeout_allowed(capsys):
+    code, out, _ = run_cli(["solve", "--layout", "grid:1x2", "--random", "2",
+                            "--timeout", "inf"], capsys)
+    assert code == 0
+    assert "status=optimal" in out
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -149,6 +167,21 @@ def test_oracle_check_zero_samples(capsys):
     code, out, _ = run_cli(["oracle-check", "--samples", "0"], capsys)
     assert code == 0
     assert "0 mismatches / 0 samples" in out
+
+
+@pytest.mark.parametrize("argv", [["--nodes-max", "1"], ["--nodes-max", "0"],
+                                  ["--samples", "-1"], ["--samples", "many"]])
+def test_oracle_check_bad_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check"] + argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+
+
+def test_oracle_check_smallest_graphs(capsys):
+    code, out, _ = run_cli(["oracle-check", "--nodes-max", "2", "--samples", "3"], capsys)
+    assert code == 0
+    assert "0 mismatches / 3 samples" in out
 
 
 def test_oracle_check_reproducible(capsys):

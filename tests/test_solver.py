@@ -10,14 +10,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from swaproute import bilp, cli, route, solver, texpand
+from swaproute import bilp, cli, oracle, route, solver, texpand
 from swaproute.bilp import BilpModel, Row
 from swaproute.graph import build_grid
 from swaproute.instance import MqpfInstance, random_instance
 from swaproute.noise import HERON, movement_costs, sample_error_map
 from swaproute.solver import SolverConfig, SolverError, export_lp, solve
 
-from conftest import uniform_error_map
+from conftest import build_cycle, random_maybe_flexible_instance, uniform_error_map
 from test_bilp import PINNED_EXPORTS, pinned_model
 
 
@@ -232,11 +232,17 @@ def test_missing_binding_fails_import_naming_scipy_floor(monkeypatch):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
-def test_root_propagation_infeasible_builds_no_lp(monkeypatch):
+def count_lp_builds(monkeypatch):
+    """Counts ``_LpRelaxation`` constructions from here on, one entry each."""
     calls = []
     relaxation = solver._LpRelaxation
     monkeypatch.setattr(solver, "_LpRelaxation",
                         lambda model: calls.append(1) or relaxation(model))
+    return calls
+
+
+def test_root_propagation_infeasible_builds_no_lp(monkeypatch):
+    calls = count_lp_builds(monkeypatch)
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", 0)
     costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
@@ -247,6 +253,38 @@ def test_root_propagation_infeasible_builds_no_lp(monkeypatch):
     assert not calls
     # at the hop bound the same instance does reach the LP
     assert solve(desk_model()).status == "optimal" and calls
+
+
+def test_fully_fixed_root_builds_no_lp(monkeypatch):
+    # one qubit along a 6-node path in exactly 5 steps: every variable is forced
+    g = build_grid(1, 6)
+    model = routing_model(g, MqpfInstance(sources=((0,),), destinations=((5,),)), 5)
+    assert model.var_count == 7
+    calls = count_lp_builds(monkeypatch)
+    res = solve(model)
+    assert res.status == "optimal" and res.nodes == 1
+    assert not calls
+    assert res.objective == float(model.objective @ res.assignment)
+
+
+def test_criterion_1_solves_without_lp_match_oracle(monkeypatch):
+    calls = count_lp_builds(monkeypatch)
+    for name, g in {"path6": build_grid(1, 6), "cycle6": build_cycle(6),
+                    "grid2x3": build_grid(2, 3)}.items():
+        emap = uniform_error_map(g)
+        costs = movement_costs(g, emap, "simple")
+        without_lp = 0
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            before = len(calls)
+            sol = route.solve_mqpf(g, emap, inst)
+            without_lp += len(calls) == before
+            assert sol.depth == oracle.bfs_optimal_depth(g, inst), (name, seed)
+            expect = oracle.exhaustive_min_cost(g, costs, inst, sol.depth)
+            assert sol.cost == pytest.approx(expect, abs=1e-9), (name, seed)
+        assert without_lp >= 1, name
 
 
 def test_lp_failure_raises_solver_error():
