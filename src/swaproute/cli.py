@@ -63,6 +63,26 @@ def _int_at_least(low):
     return parse
 
 
+def _qubit_counts(text):
+    """argparse type of ``--qubits``: ``lo..hi`` or a comma list of counts >= 1."""
+    count = _int_at_least(1)
+    if ".." not in text:
+        return [count(x) for x in text.split(",")]
+    lo, _, hi = text.partition("..")
+    return list(range(count(lo), count(hi) + 1))
+
+
+def _file_text(path, text=None):
+    """Reads ``path``, or writes ``text`` to it when given.  A path the CLI
+    cannot read or write is a usage error that names it."""
+    try:
+        return Path(path).read_text() if text is None else Path(path).write_text(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        action = "read" if text is None else "write"
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot {action} {path}: {reason}") from None
+
+
 def _load_layout(args):
     try:
         g = graph.build_layout(args.layout)
@@ -76,9 +96,8 @@ def _load_layout(args):
 def _load_noise(spec: str, g, seed: int):
     if spec in noise.PRESETS:
         return noise.sample_error_map(g, noise.PRESETS[spec], seed)
-    path = Path(spec)
-    if path.exists():
-        return noise.load_error_map(path.read_text(), g)
+    if Path(spec).exists():
+        return noise.load_error_map(_file_text(spec), g)
     raise UsageError(f"--noise must be a preset ({', '.join(noise.PRESETS)}) or a file path")
 
 
@@ -119,7 +138,7 @@ def _solve_args(sub):
 def cmd_solve(args):
     g = _load_layout(args)
     if args.instance is not None:
-        inst = inst_mod.load_instance(Path(args.instance).read_text())
+        inst = inst_mod.load_instance(_file_text(args.instance))
     else:
         inst = inst_mod.random_instance(g, args.random, args.team_mode, args.seed)
     if args.flexible and not inst.flexible:
@@ -134,7 +153,7 @@ def cmd_solve(args):
     if args.export_lp is not None:
         depth = route.lower_bound_dijkstra(inst=inst, g=g)
         _, model = route.model_at_depth(g, inst, costs, depth, trim=not args.no_trim)
-        Path(args.export_lp).write_text(solver.export_lp(model))
+        _file_text(args.export_lp, solver.export_lp(model))
         print(f"wrote LP model ({model.var_count} vars, {model.row_count} rows, "
               f"depth {depth}) to {args.export_lp}")
         return EXIT_OK
@@ -149,7 +168,7 @@ def cmd_solve(args):
     )
     sol = route.solve_mqpf(g, emap, inst, cfg)
     if args.out:
-        Path(args.out).write_text(route.solution_to_json(sol))
+        _file_text(args.out, route.solution_to_json(sol))
     if sol.solved:
         print(f"status={sol.status} depth={sol.depth} swaps={sol.swap_count} "
               f"cost={sol.cost:.6g} error={sol.error:.6g} fidelity={sol.fidelity:.6g}")
@@ -158,17 +177,10 @@ def cmd_solve(args):
     return EXIT_TIMED_OUT if sol.status == "timed_out" else EXIT_INFEASIBLE
 
 
-def _parse_qubits(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
-
-
 def _bench_args(sub):
     p = sub.add_parser("bench", help="run a benchmark sweep, emitting CSV rows")
     p.add_argument("--layout", required=True)
-    p.add_argument("--qubits", required=True,
+    p.add_argument("--qubits", required=True, type=_qubit_counts,
                    help="abstract qubit counts: 'lo..hi' or comma list")
     p.add_argument("--instances", type=int, default=10)
     p.add_argument("--team-mode", choices=inst_mod.TEAM_MODES, default="independent")
@@ -224,7 +236,7 @@ def cmd_bench(args):
         if m not in _MODE_NAMES:
             raise UsageError(f"unknown mode {m!r}")
     tasks = []
-    for n_qubits in _parse_qubits(args.qubits):
+    for n_qubits in args.qubits:
         for idx in range(args.instances):
             for mode_cli in modes:
                 tasks.append((args.layout, n_qubits, idx, args.team_mode, mode_cli,

@@ -142,7 +142,10 @@ def load_instance(text: str) -> MqpfInstance:
             continue
         parts = line.split()
         if parts[0] == "teams" and len(parts) == 2:
-            team_count = int(parts[1])
+            try:
+                team_count = int(parts[1])
+            except ValueError:
+                raise InstanceError(f"line {lineno}: bad teams line {raw!r}") from None
         elif parts[0] == "flexible" and len(parts) == 2:
             if parts[1] not in ("true", "false"):
                 raise InstanceError(f"line {lineno}: flexible must be true or false")
@@ -152,10 +155,10 @@ def load_instance(text: str) -> MqpfInstance:
                 k = int(parts[1])
                 si = parts.index("sources")
                 di = parts.index("dests")
+                teams[k] = (tuple(int(v) for v in parts[si + 1:di]),
+                            tuple(int(v) for v in parts[di + 1:]))
             except (ValueError, IndexError):
                 raise InstanceError(f"line {lineno}: bad team line {raw!r}") from None
-            teams[k] = (tuple(int(v) for v in parts[si + 1:di]),
-                        tuple(int(v) for v in parts[di + 1:]))
         else:
             raise InstanceError(f"line {lineno}: unknown directive {parts[0]!r}")
     if team_count is None:

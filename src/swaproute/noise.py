@@ -246,15 +246,18 @@ def load_error_map(text: str, g=None) -> ErrorMap:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "cnot" and len(parts) == 4:
-            i, j = int(parts[1]), int(parts[2])
-            cnot[(min(i, j), max(i, j))] = float(parts[3])
-        elif parts[0] == "decoherence" and len(parts) == 4:
-            deco[int(parts[1])] = (float(parts[2]), float(parts[3]))
-        elif parts[0] == "cnot_duration_ns" and len(parts) == 2:
-            duration = float(parts[1]) * 1e-9
-        else:
-            raise NoiseError(f"line {lineno}: bad error-map line {raw!r}")
+        try:
+            if parts[0] == "cnot" and len(parts) == 4:
+                i, j = int(parts[1]), int(parts[2])
+                cnot[(min(i, j), max(i, j))] = float(parts[3])
+            elif parts[0] == "decoherence" and len(parts) == 4:
+                deco[int(parts[1])] = (float(parts[2]), float(parts[3]))
+            elif parts[0] == "cnot_duration_ns" and len(parts) == 2:
+                duration = float(parts[1]) * 1e-9
+            else:
+                raise ValueError
+        except ValueError:
+            raise NoiseError(f"line {lineno}: bad error-map line {raw!r}") from None
     if not deco:
         raise NoiseError("error map has no decoherence lines")
     n = max(deco) + 1

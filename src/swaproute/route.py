@@ -144,7 +144,7 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     cfg = cfg or RouteConfig()
     relaxed = merge_teams(inst)
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
-                  solver=replace(cfg.solver, mode="feasible_first"))
+                  solver=SolverConfig(mode="feasible_first"))
     sol = _deepen(g, None, relaxed, sub, costs=_MoveCount())
     if not sol.solved:
         raise PresolveIncomplete(sol.status)
@@ -232,7 +232,7 @@ def _deepen(g, emap, inst, cfg, costs):
     def attempt(depth):
         teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
         t0 = time.monotonic()
-        res = solve(model, replace(cfg.solver, deadline=remaining()))
+        res = solve(model, cfg.solver, remaining())
         timings["solve_s"] += time.monotonic() - t0
         return teg, model, res
 
@@ -268,7 +268,7 @@ def _deepen(g, emap, inst, cfg, costs):
     m = metrics(paths, costs)
     timings["total_s"] = time.monotonic() - start
     return RoutingSolution(
-        status=res.status if res.status in ("optimal", "feasible") else "feasible",
+        status=res.status,
         depth=teg.depth,
         teams=teams,
         paths=paths,

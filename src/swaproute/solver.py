@@ -6,7 +6,11 @@ subproblem (admissible: the relaxation never exceeds the subproblem
 optimum).  Fixing a variable triggers constraint propagation over the
 unit-coefficient rows.  Branching picks the most fractional relaxation
 variable, ties broken by ordinal, and all solver modes share the same
-search order so their incumbents are comparable.
+search order so their incumbents are comparable.  The stack holds only open
+branches: branching pushes ``(var, untried value, trail mark, parent bound)``
+and takes the preferred value at once, and backtracking pops a frame, undoes
+the trail to its mark and tries the stored value.  The least parent bound on
+the stack therefore bounds every subtree not yet searched.
 
 Root propagation comes first and alone closes most infeasible depths, and a
 node whose variables are all fixed is its own relaxation, so a ``solve``
@@ -16,9 +20,9 @@ relaxations are warm-started on scipy's bundled HiGHS binding
 CSR arrays once to the array overload of ``passModel`` and, at each node,
 changes only the column bounds of the fixings before re-solving from the
 previous basis.  A binding that is missing fails the import, and one whose
-``passModel`` takes no arrays raises ``SolverError``.  Under a deadline each
-re-solve runs with a HiGHS time limit of the time left, and one that hits it
-ends the solve as ``deadline_exceeded``.
+``passModel`` takes no arrays raises ``SolverError``.  Under ``solve``'s
+``deadline`` argument each re-solve runs with a HiGHS time limit of the time
+left, and one that hits it ends the solve as ``deadline_exceeded``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ except ImportError as exc:
 
 MODES = ("optimal", "near_optimal", "feasible_first")
 
+NEAR_GAP = 0.08  # near_optimal stops within this of the open-subtree bound, relative or absolute
+
 _OBJ_TOL = 1e-9
 _INT_TOL = 1e-6
 
@@ -49,15 +55,10 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "optimal"
-    rel_gap: float = 0.08
-    abs_gap: float = 0.08
-    deadline: float | None = None  # wall-clock seconds for this solve call
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.rel_gap < 0 or self.abs_gap < 0:
-            raise ValueError("rel_gap and abs_gap must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -238,142 +239,92 @@ def _check_assignment(model, x):
     return bool(np.all(np.where(model.eq, lhs == model.rhs, lhs <= model.rhs)))
 
 
-def solve(model, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve a routing BILP with the built-in branch-and-bound backend."""
-    cfg = cfg or SolverConfig()
-    start = time.monotonic()
-    deadline = None if cfg.deadline is None else start + cfg.deadline
+def solve(model, cfg: SolverConfig | None = None,
+          deadline: float | None = None) -> SolveResult:
+    """Solve a routing BILP by branch and bound, within ``deadline`` seconds if given."""
+    mode = (cfg or SolverConfig()).mode
+    stop_at = None if deadline is None else time.monotonic() + deadline
 
-    n = model.var_count
     c = model.objective
-    if n == 0:
+    if model.var_count == 0:
         return SolveResult(status="optimal", assignment=np.zeros(0, dtype=np.int8),
                            objective=0.0, best_bound=0.0, nodes=1)
 
     prop = _Propagator(model)
-
     incumbent = None
     inc_obj = np.inf
-    nodes = 0
-    # stack frames: [var, value_order, next_idx, trail_mark, node_bound]
+    nodes = 1  # the root
+    # open branches: (var, untried value, trail mark, parent bound)
     stack = []
 
-    def global_bound():
-        bounds = [f[4] for f in stack if f[2] < 2]
-        return min(bounds) if bounds else inc_obj
+    def open_bound():
+        return min((f[3] for f in stack), default=inc_obj)
 
-    def result(status, gap=None):
-        if status in ("optimal", "infeasible"):
-            bb = inc_obj if incumbent is not None else None
-        else:
-            bb = global_bound()
+    def result(status):
+        bb = open_bound()
         return SolveResult(
             status=status,
-            assignment=None if incumbent is None else incumbent.copy(),
+            assignment=incumbent,
             objective=None if incumbent is None else float(inc_obj),
-            best_bound=None if bb is None or not np.isfinite(bb) else float(bb),
-            gap=gap, nodes=nodes)
-
-    def gap_met():
-        if incumbent is None:
-            return None
-        glb = global_bound()
-        abs_gap = inc_obj - glb
-        rel = abs_gap / max(inc_obj, 1e-12)
-        if rel <= cfg.rel_gap or abs_gap <= cfg.abs_gap:
-            return rel
-        return None
+            best_bound=float(bb) if np.isfinite(bb) else None,
+            gap=max((inc_obj - bb) / max(inc_obj, 1e-12), 0.0) if status == "feasible" else None,
+            nodes=nodes)
 
     if not prop.propagate_all():
-        return SolveResult(status="infeasible", assignment=None, objective=None,
-                           best_bound=None, nodes=1)
+        return result("infeasible")
     lp = None  # built at the first node that leaves a variable free
 
-    descend = True  # process the current node next (vs. backtrack)
     while True:
-        if descend:
-            nodes += 1
-            if deadline is not None and time.monotonic() > deadline:
+        if stop_at is not None and time.monotonic() > stop_at:
+            return result("deadline_exceeded")
+        free = prop.values == -1
+        if float(c[prop.values == 1].sum()) >= inc_obj - _OBJ_TOL:
+            cand = None  # pruned by the committed cost (all costs are >= 0)
+        elif not free.any():
+            # the node is its own relaxation, and its bound, the fixed cost, survived the prune
+            cand = prop.values.copy()
+        else:
+            cand = None
+            if lp is None:
+                lp = _LpRelaxation(model)
+            try:
+                relaxed = lp.bound(prop.values,
+                                   None if stop_at is None else stop_at - time.monotonic())
+            except _LpTimeLimit:
                 return result("deadline_exceeded")
-            # cheap prune on already-committed cost (all costs are >= 0)
-            fixed_cost = float(c[prop.values == 1].sum())
-            if fixed_cost >= inc_obj - _OBJ_TOL:
-                descend = False
-                continue
-            free = prop.values == -1
-            if not free.any():
-                # the node is its own relaxation, and its bound fixed_cost survived the prune
-                cand = prop.values.copy()
-            else:
-                if lp is None:
-                    lp = _LpRelaxation(model)
-                try:
-                    relaxed = lp.bound(prop.values,
-                                       None if deadline is None else deadline - time.monotonic())
-                except _LpTimeLimit:
-                    return result("deadline_exceeded")
-                if relaxed is None:
-                    descend = False
-                    continue
+            if relaxed is not None and relaxed[0] < inc_obj - _OBJ_TOL:
                 bound, x = relaxed
-                if bound >= inc_obj - _OBJ_TOL:
-                    descend = False
-                    continue
-                if np.abs(x - np.round(x))[free].max() > _INT_TOL:
+                if np.abs(x - np.round(x))[free].max() <= _INT_TOL:
+                    cand = np.where(free, np.round(x), prop.values).astype(np.int8)
+                else:
                     # branch on the most fractional free variable, ties by ordinal
-                    score = np.where(free, 0.5 - np.abs(x - 0.5), -1.0)
-                    v = int(np.argmax(score))
+                    v = int(np.argmax(np.where(free, 0.5 - np.abs(x - 0.5), -1.0)))
                     preferred = 1 if x[v] >= 0.5 else 0
-                    stack.append([v, (preferred, 1 - preferred), 0, prop.mark(), bound])
-                    frame = stack[-1]
-                    frame[2] = 1
-                    descend = prop.assign(v, frame[1][0])
-                    continue
-                cand = np.round(x).astype(np.int8)
-                cand[prop.values == 1] = 1
-                cand[prop.values == 0] = 0
+                    stack.append((v, 1 - preferred, prop.mark(), bound))
+                    if prop.assign(v, preferred):
+                        nodes += 1
+                        continue
+        if cand is not None:
             if not _check_assignment(model, cand):
                 raise SolverError("integral relaxation failed exact feasibility check")
             obj = float(c @ cand)
             if obj < inc_obj:
-                incumbent = cand
-                inc_obj = obj
-                if cfg.mode == "feasible_first":
-                    glb = global_bound()
-                    rel = (inc_obj - glb) / max(inc_obj, 1e-12)
-                    return result("feasible", gap=max(rel, 0.0))
-                if cfg.mode == "near_optimal":
-                    g = gap_met()
-                    if g is not None:
-                        return result("feasible", gap=max(g, 0.0))
-            descend = False
-        else:
-            if cfg.mode == "near_optimal":
-                g = gap_met()
-                if g is not None:
-                    return result("feasible", gap=max(g, 0.0))
+                incumbent, inc_obj = cand, obj
+                if mode == "feasible_first":
+                    return result("feasible")
+        # backtrack to the deepest open branch that the incumbent does not prune
+        while True:
+            if mode == "near_optimal" and incumbent is not None:
+                gap = inc_obj - open_bound()
+                if gap / max(inc_obj, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP:
+                    return result("feasible")
             if not stack:
+                return result("infeasible" if incumbent is None else "optimal")
+            v, val, mark, parent_bound = stack.pop()
+            prop.undo_to(mark)
+            if parent_bound < inc_obj - _OBJ_TOL and prop.assign(v, val):
+                nodes += 1
                 break
-            frame = stack[-1]
-            prop.undo_to(frame[3])
-            if frame[2] < 2:
-                val = frame[1][frame[2]]
-                frame[2] += 1
-                if frame[4] >= inc_obj - _OBJ_TOL:
-                    # sibling subtree cannot beat the incumbent
-                    stack.pop()
-                    continue
-                if prop.assign(frame[0], val):
-                    descend = True
-                continue
-            stack.pop()
-
-    if incumbent is None:
-        return SolveResult(status="infeasible", assignment=None, objective=None,
-                           best_bound=None, nodes=nodes)
-    return SolveResult(status="optimal", assignment=incumbent.copy(),
-                       objective=float(inc_obj), best_bound=float(inc_obj),
-                       nodes=nodes)
 
 
 def export_lp(model) -> str:

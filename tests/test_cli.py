@@ -51,6 +51,34 @@ def test_solve_noise_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("content", [None, b"\x89\xff"])  # missing, not UTF-8
+def test_unreadable_instance_is_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    if content is not None:
+        path.write_bytes(content)
+    code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--instance", str(path)],
+                           capsys)
+    assert code == 2
+    assert f"cannot read {path}" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "no_such_dir" / "sol.json"
+    code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--random", "1",
+                            "--out", str(out_file)], capsys)
+    assert code == 2
+    assert f"cannot write {out_file}" in err
+
+
+def test_malformed_noise_file_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "noise.txt"
+    f.write_text("cnot 0 1 abc\n")
+    code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--random", "1",
+                            "--noise", str(f)], capsys)
+    assert code == 2
+    assert "line 1: " in err
+
+
 def test_export_lp_no_solve(tmp_path, capsys):
     path = tmp_path / "m.lp"
     code, out, _ = run_cli(["solve", "--layout", "grid:1x2", "--random", "2",
@@ -112,6 +140,14 @@ def test_bench_row_counts(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 6
     assert list(rows[0].keys()) == cli.BENCH_COLUMNS
+
+
+@pytest.mark.parametrize("qubits", ["x", "1..y", "1..2..3"])
+def test_bench_bad_qubits_is_usage_error(qubits, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--layout", "grid:1x2", "--qubits", qubits])
+    assert exc.value.code == 2
+    assert "--qubits" in capsys.readouterr().err
 
 
 def test_bench_fidelity_definition(capsys):

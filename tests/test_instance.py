@@ -96,6 +96,16 @@ def test_load_rejects_garbage():
         load_instance("team 0 sources 0 dests 1\n")  # missing header
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("teams x\n", 1),
+    ("teams 1\nteam 0 sources a dests 1\n", 2),
+    ("teams 1\nteam 0 sources 0 dests 1.5\n", 2),
+])
+def test_load_rejects_malformed_numbers_with_line(text, lineno):
+    with pytest.raises(InstanceError, match=f"^line {lineno}: "):
+        load_instance(text)
+
+
 def test_merge_teams():
     inst = MqpfInstance(sources=((0,), (2, 3)), destinations=((3,), (0, 1)))
     merged = merge_teams(inst)

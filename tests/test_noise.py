@@ -191,6 +191,15 @@ def test_error_map_validation():
         ErrorMap(cnot_error={(0, 1): 0.01}, t1=(0.0, 100.0), t2=(100.0, 100.0))
 
 
+@pytest.mark.parametrize("line", ["cnot 0 1 abc", "cnot a 1 0.01", "decoherence 0 x 100",
+                                  "cnot_duration_ns fast"])
+def test_load_error_map_rejects_malformed_numbers_with_line(line):
+    text = save_error_map(uniform_error_map(build_grid(1, 2))) + line + "\n"
+    lineno = text.count("\n")
+    with pytest.raises(NoiseError, match=f"^line {lineno}: "):
+        load_error_map(text)
+
+
 def test_load_error_map_rejects_mismatched_graph():
     g = build_grid(1, 3)
     emap = uniform_error_map(build_grid(1, 2))

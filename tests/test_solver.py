@@ -324,6 +324,24 @@ def test_mode_dominance_and_gap_contract():
                 assert rel <= res.gap + 1e-9
 
 
+def test_stopped_search_bound_and_gap_hold_against_optimum():
+    # a frame left out of the open-subtree bound would overstate best_bound
+    branched = stopped_short = 0
+    for seed in range(60):
+        g = build_grid(2, 3)
+        model = routing_model(g, random_instance(g, 3, "mixed", seed), 4, "extended")
+        optimum = solve(model, SolverConfig(mode="optimal")).objective
+        for mode in ("near_optimal", "feasible_first"):
+            res = solve(model, SolverConfig(mode=mode))
+            if res.status != "feasible":
+                continue
+            assert res.best_bound <= optimum + 1e-9, (seed, mode)
+            assert (res.objective - optimum) / max(res.objective, 1e-12) <= res.gap + 1e-9
+            branched += res.nodes > 1
+            stopped_short += res.gap > 0
+    assert branched and stopped_short
+
+
 def test_assignment_satisfies_rows_exactly():
     g = build_grid(2, 2)
     inst = random_instance(g, 2, "independent", 9)
@@ -339,7 +357,7 @@ def test_deadline_zero():
     g = build_grid(2, 3)
     inst = random_instance(g, 4, "independent", 1)
     model = routing_model(g, inst, 4)
-    res = solve(model, SolverConfig(deadline=0.0))
+    res = solve(model, deadline=0.0)
     assert res.status == "deadline_exceeded"
 
 
@@ -352,14 +370,14 @@ def test_lp_time_limit_ends_solve_as_deadline_exceeded(monkeypatch):
     bound = solver._LpRelaxation.bound
     monkeypatch.setattr(solver._LpRelaxation, "bound",
                         lambda self, values, time_left: bound(self, values, 0.0))
-    assert solve(model, SolverConfig(deadline=60.0)).status == "deadline_exceeded"
+    assert solve(model, deadline=60.0).status == "deadline_exceeded"
 
 
 def test_near_zero_deadline_on_desk_model():
     model = desk_model()
     for deadline in (1e-3, 0.02):
         start = time.monotonic()
-        res = solve(model, SolverConfig(deadline=deadline))
+        res = solve(model, deadline=deadline)
         assert res.status == "deadline_exceeded"
         assert time.monotonic() - start <= deadline + 0.5
 
@@ -450,5 +468,3 @@ def test_export_byte_stable():
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         SolverConfig(mode="quantum")
-    with pytest.raises(ValueError):
-        SolverConfig(rel_gap=-1.0)
