@@ -69,7 +69,10 @@ def _qubit_counts(text):
     if ".." not in text:
         return [count(x) for x in text.split(",")]
     lo, _, hi = text.partition("..")
-    return list(range(count(lo), count(hi) + 1))
+    lo, hi = count(lo), count(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _file_text(path, text=None):
@@ -182,7 +185,7 @@ def _bench_args(sub):
     p.add_argument("--layout", required=True)
     p.add_argument("--qubits", required=True, type=_qubit_counts,
                    help="abstract qubit counts: 'lo..hi' or comma list")
-    p.add_argument("--instances", type=int, default=10)
+    p.add_argument("--instances", type=_int_at_least(1), default=10)
     p.add_argument("--team-mode", choices=inst_mod.TEAM_MODES, default="independent")
     p.add_argument("--modes", default="optimal",
                    help="comma list from: " + ", ".join(sorted(_MODE_NAMES)))

@@ -20,7 +20,7 @@ class HardwareGraph:
     Immutable after construction; safe to share across concurrent solver runs.
     """
 
-    def __init__(self, node_count, edges, labels=None):
+    def __init__(self, node_count, edges):
         if node_count < 1:
             raise GraphError(f"node_count must be >= 1, got {node_count}")
         canonical = set()
@@ -32,9 +32,6 @@ class HardwareGraph:
             canonical.add((min(i, j), max(i, j)))
         self.node_count = node_count
         self.edges = tuple(sorted(canonical))
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != node_count:
-            raise GraphError("labels length must equal node_count")
         neighbors = [[] for _ in range(node_count)]
         for i, j in self.edges:
             neighbors[i].append(j)
@@ -136,10 +133,7 @@ def drop_node(g: HardwareGraph, node: int) -> HardwareGraph:
         if v != node:
             remap[v] = len(remap)
     edges = [(remap[i], remap[j]) for i, j in g.edges if i != node and j != node]
-    labels = None
-    if g.labels is not None:
-        labels = [lab for v, lab in enumerate(g.labels) if v != node]
-    return HardwareGraph(g.node_count - 1, edges, labels)
+    return HardwareGraph(g.node_count - 1, edges)
 
 
 def save_graph(g: HardwareGraph) -> str:

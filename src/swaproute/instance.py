@@ -142,6 +142,8 @@ def load_instance(text: str) -> MqpfInstance:
             continue
         parts = line.split()
         if parts[0] == "teams" and len(parts) == 2:
+            if team_count is not None:
+                raise InstanceError(f"line {lineno}: repeated teams line")
             try:
                 team_count = int(parts[1])
             except ValueError:
@@ -155,10 +157,13 @@ def load_instance(text: str) -> MqpfInstance:
                 k = int(parts[1])
                 si = parts.index("sources")
                 di = parts.index("dests")
-                teams[k] = (tuple(int(v) for v in parts[si + 1:di]),
-                            tuple(int(v) for v in parts[di + 1:]))
+                team = (tuple(int(v) for v in parts[si + 1:di]),
+                        tuple(int(v) for v in parts[di + 1:]))
             except (ValueError, IndexError):
                 raise InstanceError(f"line {lineno}: bad team line {raw!r}") from None
+            if k in teams:
+                raise InstanceError(f"line {lineno}: repeated line for team {k}")
+            teams[k] = team
         else:
             raise InstanceError(f"line {lineno}: unknown directive {parts[0]!r}")
     if team_count is None:

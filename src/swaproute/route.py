@@ -6,11 +6,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import bilp, texpand
 from .instance import merge_teams, validate as validate_instance
-from .noise import movement_costs
+from .noise import accumulated_error, movement_costs
 from .solver import SolverConfig, solve
 
 PRESOLVES = ("none", "dijkstra", "single_team")
@@ -72,7 +72,6 @@ class RoutingSolution:
     presolve_bound: int | None = None
     bilp_vars: int | None = None
     bilp_rows: int | None = None
-    nodes: int = 0
     timings: dict = field(default_factory=dict)
 
     @property
@@ -145,7 +144,7 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     relaxed = merge_teams(inst)
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=SolverConfig(mode="feasible_first"))
-    sol = _deepen(g, None, relaxed, sub, costs=_MoveCount())
+    sol = _deepen(g, relaxed, sub, costs=_MoveCount())
     if not sol.solved:
         raise PresolveIncomplete(sol.status)
     return sol.depth
@@ -168,7 +167,7 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     if violations:
         raise RouteError("invalid instance: " + "; ".join(violations))
     costs = movement_costs(g, emap, cfg.error_model)
-    return _deepen(g, emap, inst, cfg, costs)
+    return _deepen(g, inst, cfg, costs)
 
 
 def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
@@ -187,7 +186,7 @@ def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
     return teg, model
 
 
-def _deepen(g, emap, inst, cfg, costs):
+def _deepen(g, inst, cfg, costs):
     """Iterative deepening: solve the model at each depth from the presolve
     bound up to ``node_count ** 2`` and keep the first that is not
     infeasible, then the one ``depth_slack`` steps deeper when asked.
@@ -198,102 +197,70 @@ def _deepen(g, emap, inst, cfg, costs):
     hop bound or the single-team bound.  When no matching exists the
     instance is infeasible at every depth and the result is
     ``infeasible_up_to_cap`` at once, before any single-team presolve.
-    ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.
+    ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.  Every
+    exit goes through ``result``, which sets ``total_s`` and, given the
+    solved attempt, fills the paths and their metrics.
     """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
 
     def remaining():
-        if cfg.timeout is None:
-            return None
-        return cfg.timeout - (time.monotonic() - start)
+        return None if cfg.timeout is None else cfg.timeout - (time.monotonic() - start)
 
-    def out_of_time():
-        rem = remaining()
-        return rem is not None and rem <= 0
+    def result(status, found=None):
+        fields = {}
+        if found is not None:
+            teg, model, res = found
+            teams, paths = extract_paths(res.assignment, teg, model)
+            fields = dict(depth=teg.depth, teams=teams, paths=paths,
+                          schedule=schedule_from_paths(paths), **metrics(paths, costs),
+                          solver_status=status, solver_gap=res.gap,
+                          bilp_vars=model.var_count, bilp_rows=model.row_count)
+        timings["total_s"] = time.monotonic() - start
+        return RoutingSolution(status, presolve_bound=bound, timings=timings, **fields)
 
     t0 = time.monotonic()
     bound = first = 0
+    status = None  # set when the presolve alone decides the result
     if cfg.presolve != "none":
         first = lower_bound_matching(g, inst)
         bound = lower_bound_dijkstra(g, inst) if cfg.presolve == "dijkstra" else None
         if first is None:
-            timings["presolve_s"] = time.monotonic() - t0
-            return _aborted("infeasible_up_to_cap", bound, timings, start)
-        if cfg.presolve == "single_team":
+            status = "infeasible_up_to_cap"
+        elif cfg.presolve == "single_team":
             try:
                 bound = lower_bound_single_team(g, inst, replace(cfg, timeout=remaining()))
             except PresolveIncomplete as exc:
-                timings["presolve_s"] = time.monotonic() - t0
-                return _aborted(exc.status, None, timings, start)
-            first = max(bound, first)
+                status = exc.status
+            else:
+                first = max(bound, first)
     timings["presolve_s"] = time.monotonic() - t0
+    if status is not None:
+        return result(status)
 
     def attempt(depth):
         teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
         t0 = time.monotonic()
         res = solve(model, cfg.solver, remaining())
         timings["solve_s"] += time.monotonic() - t0
-        return teg, model, res
+        return res.status, (teg, model, res)
 
-    cap = g.node_count ** 2
-    found = None
-    for depth in range(first, cap + 1):
-        if out_of_time():
-            return _aborted("timed_out", bound, timings, start)
-        teg, model, res = attempt(depth)
-        if res.status == "deadline_exceeded":
-            return _aborted("timed_out", bound, timings, start)
-        if res.status == "infeasible":
-            continue
-        found = (depth, teg, model, res)
-        break
-    if found is None:
-        return _aborted("infeasible_up_to_cap", bound, timings, start)
-
-    best_depth, teg, model, res = found
-    if cfg.depth_slack > 0:
-        slack_depth = best_depth + cfg.depth_slack
-        teg2, model2, res2 = attempt(slack_depth)
-        if res2.status in ("optimal", "feasible"):
-            teg, model, res = teg2, model2, res2
-        elif res2.status == "deadline_exceeded":
-            return _aborted("timed_out", bound, timings, start)
-        else:
+    for depth in range(first, g.node_count ** 2 + 1):
+        rem = remaining()
+        if rem is not None and rem <= 0:
+            return result("timed_out")
+        status, found = attempt(depth)
+        if status != "infeasible":
+            break
+    else:
+        return result("infeasible_up_to_cap")
+    if cfg.depth_slack and status != "deadline_exceeded":
+        status, found = attempt(depth + cfg.depth_slack)
+        if status == "infeasible":
             raise RouteError("deeper expansion unexpectedly infeasible")
-
-    teams, paths = extract_paths(res.assignment, teg, model)
-    schedule = schedule_from_paths(paths)
-    stats = bilp.count_stats(model)
-    m = metrics(paths, costs)
-    timings["total_s"] = time.monotonic() - start
-    return RoutingSolution(
-        status=res.status,
-        depth=teg.depth,
-        teams=teams,
-        paths=paths,
-        schedule=schedule,
-        cost=m["cost"],
-        error=m["error"],
-        fidelity=m["fidelity"],
-        swap_count=m["swap_count"],
-        swap_cost=m["swap_cost"],
-        idle_cost=m["idle_cost"],
-        idle_ratio=m["idle_ratio"],
-        arrival_time_sum=m["arrival_time_sum"],
-        solver_status=res.status,
-        solver_gap=res.gap,
-        presolve_bound=bound,
-        bilp_vars=stats["vars"],
-        bilp_rows=stats["rows"],
-        nodes=res.nodes,
-        timings=timings,
-    )
-
-
-def _aborted(status, bound, timings, start):
-    timings["total_s"] = time.monotonic() - start
-    return RoutingSolution(status=status, presolve_bound=bound, timings=timings)
+    if status == "deadline_exceeded":
+        return result("timed_out")
+    return result(status, found)
 
 
 def extract_paths(assignment, teg, model):
@@ -399,7 +366,6 @@ def metrics(paths, costs) -> dict:
     """Recompute error metrics from paths, independently of the solver objective."""
     swap_cost = 0.0
     idle_cost = 0.0
-    swap_count = 0
     arrival_sum = 0
     depth = len(paths[0]) - 1 if paths else 0
     for p in paths:
@@ -411,9 +377,9 @@ def metrics(paths, costs) -> dict:
             else:
                 idle_cost += costs.movement_cost(p[t], p[t])
         arrival_sum += last_move
-    for step in schedule_from_paths(paths):
-        swap_count += len(step)
+    swap_count = sum(map(len, schedule_from_paths(paths)))
     total = swap_cost + idle_cost
+    error, fidelity = accumulated_error(total)
     e_swap = 1.0 - math.exp(-swap_cost)
     e_idle = 1.0 - math.exp(-idle_cost)
     ratio = None
@@ -421,38 +387,18 @@ def metrics(paths, costs) -> dict:
         ratio = e_idle / e_swap
     return {
         "cost": total,
-        "error": 1.0 - math.exp(-total),
-        "fidelity": math.exp(-total),
+        "error": error,
+        "fidelity": fidelity,
         "swap_count": swap_count,
         "swap_cost": swap_cost,
-        "idle_cost": 0.0 if costs.model == "simple" else idle_cost,
+        "idle_cost": idle_cost,
         "idle_ratio": ratio,
         "arrival_time_sum": arrival_sum,
     }
 
 
 def solution_to_json(sol: RoutingSolution) -> str:
-    """Serialize a routing solution to the JSON solution-file format."""
-    doc = {
-        "status": sol.status,
-        "depth": sol.depth,
-        "teams": list(sol.teams),
-        "paths": [list(p) for p in sol.paths] if sol.paths is not None else None,
-        "swaps": [[list(e) for e in step] for step in sol.schedule]
-                 if sol.schedule is not None else None,
-        "cost": sol.cost,
-        "error": sol.error,
-        "fidelity": sol.fidelity,
-        "swap_count": sol.swap_count,
-        "swap_cost": sol.swap_cost,
-        "idle_cost": sol.idle_cost,
-        "idle_ratio": sol.idle_ratio,
-        "arrival_time_sum": sol.arrival_time_sum,
-        "solver_status": sol.solver_status,
-        "solver_gap": sol.solver_gap,
-        "presolve_bound": sol.presolve_bound,
-        "bilp_vars": sol.bilp_vars,
-        "bilp_rows": sol.bilp_rows,
-        "timings": sol.timings,
-    }
+    """Serialize a routing solution to the JSON solution-file format: its
+    fields in order, with ``schedule`` written as ``swaps``."""
+    doc = {"swaps" if k == "schedule" else k: v for k, v in asdict(sol).items()}
     return json.dumps(doc, indent=2) + "\n"

@@ -142,12 +142,19 @@ def test_bench_row_counts(capsys):
     assert list(rows[0].keys()) == cli.BENCH_COLUMNS
 
 
-@pytest.mark.parametrize("qubits", ["x", "1..y", "1..2..3"])
+@pytest.mark.parametrize("qubits", ["x", "1..y", "1..2..3", "5..2"])
 def test_bench_bad_qubits_is_usage_error(qubits, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "--layout", "grid:1x2", "--qubits", qubits])
     assert exc.value.code == 2
     assert "--qubits" in capsys.readouterr().err
+
+
+def test_bench_no_instances_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--layout", "grid:1x2", "--qubits", "1", "--instances", "0"])
+    assert exc.value.code == 2
+    assert "--instances" in capsys.readouterr().err
 
 
 def test_bench_fidelity_definition(capsys):

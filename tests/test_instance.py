@@ -106,6 +106,15 @@ def test_load_rejects_malformed_numbers_with_line(text, lineno):
         load_instance(text)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("teams 1\nteam 0 sources 0 dests 1\nteam 0 sources 1 dests 0\n", 3),
+    ("teams 1\nteams 2\nteam 0 sources 0 dests 1\nteam 1 sources 1 dests 0\n", 2),
+])
+def test_load_rejects_repeated_lines_with_line(text, lineno):
+    with pytest.raises(InstanceError, match=f"^line {lineno}: repeated"):
+        load_instance(text)
+
+
 def test_merge_teams():
     inst = MqpfInstance(sources=((0,), (2, 3)), destinations=((3,), (0, 1)))
     merged = merge_teams(inst)

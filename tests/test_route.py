@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -399,6 +401,49 @@ def test_solution_json_round_trip_fields():
     assert doc["paths"] == [[0, 1], [1, 0]]
     assert doc["swaps"] == [[[0, 1]]]
     assert doc["fidelity"] == pytest.approx(math.exp(-doc["cost"]))
+
+
+def pinned_solution(case):
+    """The routing results whose JSON bytes are pinned below."""
+    kind, _, presolve = case.partition(":")
+    if kind == "infeasible_up_to_cap":
+        # two one-qubit teams sharing their only destination: no depth up to the cap
+        g = build_grid(1, 3)
+        inst = MqpfInstance(sources=((0,), (1,)), destinations=((2,), (2,)), flexible=True)
+        return solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(presolve=presolve))
+    if kind == "simple":
+        # two qubits crossing a path: every step of the schedule is forced
+        g = build_grid(1, 4)
+        inst = MqpfInstance(sources=((0,), (3,)), destinations=((3,), (0,)))
+        return solve_mqpf(g, sample_error_map(g, HERON, 2), inst)
+    g = build_grid(2, 3)
+    inst = random_instance(g, 3, "independent", 3)
+    cfg = RouteConfig(error_model="extended", depth_slack=int(kind == "depth_slack"),
+                      timeout=1e-6 if kind == "timed_out" else None)
+    return solve_mqpf(g, sample_error_map(g, HERON, 3), inst, cfg)
+
+
+# sha256 of solution_to_json with timings replaced by {}
+PINNED_SOLUTIONS = {
+    "extended": "a78b3e113347a8daed3e612375e69687dc32763a03bf54e3b5e0d679fb7f55a4",
+    "simple": "72f0c3a5aeaf84bbfa1ec6064aad0f3e56d31dd54963ae70c8d8ca0cd8b1e9d2",
+    "depth_slack": "1be80c6efaf382b1285580aca6fb990c22ed707192f0f9724a4d3c4269a3cca9",
+    "timed_out": "daae9b6ac9d2b4d095935afde0695cad90f0d30938f16ac1fba748006e707eac",
+    "infeasible_up_to_cap:none":
+        "34666d8dd3e743d63c6746c902492fbfc18fc1eda03ab02cc32d4d07aed71270",
+    "infeasible_up_to_cap:dijkstra":
+        "4a6f14a48c139e0a0483104b4f327d4b6649374e508682c1a63cd25fa67676b6",
+    "infeasible_up_to_cap:single_team":
+        "0bf4f63febe0e1e5710a59d31ec58d42d746f62c3ea3d102b41252feeb69e77f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLUTIONS))
+def test_solution_json_bytes_pinned(case):
+    sol = pinned_solution(case)
+    assert set(sol.timings) == {"presolve_s", "expand_s", "build_s", "solve_s", "total_s"}
+    text = solution_to_json(replace(sol, timings={}))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SOLUTIONS[case]
 
 
 def test_infeasible_up_to_cap_unreachable_in_connected_graphs():
