@@ -194,7 +194,7 @@ def _bench_args(sub):
                    help="seconds per instance, > 0")
     p.add_argument("--noise-preset", choices=sorted(noise.PRESETS), default="heron")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_bench)
 
 

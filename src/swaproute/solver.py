@@ -4,13 +4,15 @@ The backend is a deterministic depth-first branch and bound over binary
 variables.  Bounds come from the HiGHS linear relaxation of the current
 subproblem (admissible: the relaxation never exceeds the subproblem
 optimum).  Fixing a variable triggers constraint propagation over the
-unit-coefficient rows.  Branching picks the most fractional relaxation
-variable, ties broken by ordinal, and all solver modes share the same
-search order so their incumbents are comparable.  The stack holds only open
-branches: branching pushes ``(var, untried value, trail mark, parent bound)``
-and takes the preferred value at once, and backtracking pops a frame, undoes
-the trail to its mark and tries the stored value.  The least parent bound on
-the stack therefore bounds every subtree not yet searched.
+unit-coefficient rows, each read as literals (``v`` for a +1 entry, ``1 - v``
+for a -1 entry) with two activity counts: its true literals and its literals
+not yet false.  Branching picks the most fractional relaxation variable,
+ties broken by ordinal, and all solver modes share the same search order so
+their incumbents are comparable.  The stack holds only open branches:
+branching pushes ``(var, untried value, trail mark, parent bound)`` and takes
+the preferred value at once, and backtracking pops a frame, undoes the trail
+to its mark and tries the stored value.  The least parent bound on the stack
+therefore bounds every subtree not yet searched.
 
 Root propagation comes first and alone closes most infeasible depths, and a
 node whose variables are all fixed is its own relaxation, so a ``solve``
@@ -72,31 +74,32 @@ class SolveResult:
 
 
 class _Propagator:
-    """Unit-coefficient bound propagation with a trail for backtracking.
+    """Unit-coefficient bound propagation over literals, with a trail for backtracking.
 
-    The row and variable incidence comes from the model's CSR arrays as flat
-    Python lists, which index faster than numpy arrays in these loops.
+    An entry with sign +1 is the literal ``v`` and one with sign -1 the literal
+    ``1 - v``, so a row bounds its number of true literals by ``rhs`` plus its
+    number of -1 entries.  Each row keeps two activity counts: ``lo``, its true
+    literals, and ``hi``, its literals not yet false.  The row and variable
+    incidence comes from the model's CSR arrays as flat Python lists, which
+    index faster than numpy arrays in these loops.
     """
 
     def __init__(self, model):
         n, n_rows, indptr = model.var_count, model.row_count, model.indptr
         row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
-        plus = model.signs > 0
-        n_plus = np.bincount(row_of[plus], minlength=n_rows)
+        neg = model.signs < 0
         self.values = np.full(n, -1, dtype=np.int8)
-        # per-row counters: plus fixed to 1, plus free, minus fixed to 1, minus free
-        self.p1, self.pf = [0] * n_rows, n_plus.tolist()
-        self.m1, self.mf = [0] * n_rows, (np.diff(indptr) - n_plus).tolist()
-        # row ri holds plus variables row_vars[start[ri]:mid[ri]], then its minus ones
-        self.row_vars = model.indices.tolist()
+        self.lo, self.hi = [0] * n_rows, np.diff(indptr).tolist()
+        self.rhs = (model.rhs + np.bincount(row_of[neg], minlength=n_rows)).tolist()
+        self.eq = model.eq.tolist()
+        # row ri holds row_vars[start[ri]:start[ri + 1]], negated where row_neg is 1
+        self.row_vars, self.row_neg = model.indices.tolist(), neg.astype(int).tolist()
         self.start = indptr.tolist()
-        self.mid = (indptr[:-1] + n_plus).tolist()
-        self.rhs, self.eq = model.rhs.tolist(), model.eq.tolist()
-        # variable v is plus in rows var_rows[at[2v]:at[2v+1]], minus in the next slice
-        key = 2 * model.indices.astype(np.int64) + ~plus
-        order = np.argsort(key, kind="stable")
+        # literal l (2v for v, 2v + 1 for 1 - v) lies in rows var_rows[at[l]:at[l + 1]]
+        lit = 2 * model.indices.astype(np.int64) + neg
+        order = np.argsort(lit, kind="stable")
         self.var_rows = row_of[order].tolist()
-        self.at = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=2 * n))]).tolist()
+        self.at = np.concatenate([[0], np.cumsum(np.bincount(lit, minlength=2 * n))]).tolist()
         self.trail = []
 
     def mark(self):
@@ -105,21 +108,19 @@ class _Propagator:
     def undo_to(self, mark):
         while len(self.trail) > mark:
             v = self.trail.pop()
-            self._count(v, self.values[v], 1)
+            self._count(v, int(self.values[v]), -1)
             self.values[v] = -1
 
     def _count(self, v, val, step):
-        """Moves the counters of v's rows by ``step``: -1 when v is fixed to
-        ``val``, +1 when it is freed from ``val``."""
-        at, var_rows = self.at, self.var_rows
-        for ri in var_rows[at[2 * v]:at[2 * v + 1]]:
-            self.pf[ri] += step
-            if val == 1:
-                self.p1[ri] -= step
-        for ri in var_rows[at[2 * v + 1]:at[2 * v + 2]]:
-            self.mf[ri] += step
-            if val == 1:
-                self.m1[ri] -= step
+        """Adds ``step`` to ``lo`` on the rows of the literal that v = ``val``
+        makes true and takes it from ``hi`` on the rows of the other one."""
+        at, var_rows, lo, hi = self.at, self.var_rows, self.lo, self.hi
+        true = 2 * v + 1 - val
+        for ri in var_rows[at[true]:at[true + 1]]:
+            lo[ri] += step
+        false = true ^ 1
+        for ri in var_rows[at[false]:at[false + 1]]:
+            hi[ri] -= step
 
     def _fix(self, v, val, queue):
         cur = self.values[v]
@@ -127,7 +128,7 @@ class _Propagator:
             return cur == val
         self.values[v] = val
         self.trail.append(v)
-        self._count(v, val, -1)
+        self._count(v, val, 1)
         queue.extend(self.var_rows[self.at[2 * v]:self.at[2 * v + 2]])
         return True
 
@@ -143,30 +144,23 @@ class _Propagator:
         return self._propagate(list(range(len(self.rhs))))
 
     def _propagate(self, queue):
-        values, row_vars, start, mid = self.values, self.row_vars, self.start, self.mid
-        p1, pf, m1, mf, rhs, eq = self.p1, self.pf, self.m1, self.mf, self.rhs, self.eq
+        values, row_vars, row_neg, start = self.values, self.row_vars, self.row_neg, self.start
+        lo, hi, rhs, eq = self.lo, self.hi, self.rhs, self.eq
         while queue:
             ri = queue.pop()
-            lo = p1[ri] - m1[ri] - mf[ri]
-            hi = p1[ri] + pf[ri] - m1[ri]
-            if lo > rhs[ri]:
+            if lo[ri] > rhs[ri] or eq[ri] and hi[ri] < rhs[ri]:
                 return False
-            if eq[ri] and hi < rhs[ri]:
-                return False
-            if not (pf[ri] or mf[ri]):
-                continue
-            if lo == rhs[ri]:
-                fill = 0  # any free plus at 1 (or free minus at 0) would overshoot
-            elif eq[ri] and hi == rhs[ri]:
-                fill = 1  # any free plus at 0 (or free minus at 1) would fall short
+            if lo[ri] == hi[ri]:
+                continue  # no free variable
+            if lo[ri] == rhs[ri]:
+                fill = 0  # one more true literal would overshoot
+            elif eq[ri] and hi[ri] == rhs[ri]:
+                fill = 1  # one more false literal would fall short
             else:
                 continue
-            for v in row_vars[start[ri]:mid[ri]]:
-                if values[v] == -1 and not self._fix(v, fill, queue):
-                    return False
-            for v in row_vars[mid[ri]:start[ri + 1]]:
-                if values[v] == -1 and not self._fix(v, 1 - fill, queue):
-                    return False
+            for e in range(start[ri], start[ri + 1]):
+                if values[row_vars[e]] == -1:
+                    self._fix(row_vars[e], fill ^ row_neg[e], queue)
         return True
 
 

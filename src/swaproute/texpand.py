@@ -131,29 +131,3 @@ def trim(teg: TimeExpandedGraph) -> TimeExpandedGraph:
         mask[k] = (d_src[tables.origins] <= steps) & (d_dst[tables.targets] <= depth - 1 - steps)
     return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 
-
-def to_dot(teg: TimeExpandedGraph, team: int = 0) -> str:
-    """DOT-format dump of one team's expansion; masked-out edges are grayed.
-
-    Debugging aid only, not a stability contract.
-    """
-    lines = ["digraph time_expansion {", "  rankdir=LR;"]
-    for t in range(teg.depth + 1):
-        lines.append(f"  subgraph cluster_t{t} {{ label=\"t{t}\";")
-        for v in range(teg.graph.node_count):
-            lines.append(f"    n{t}_{v} [label=\"{v}\"];")
-        lines.append("  }")
-    for t in range(1, teg.depth + 1):
-        for m, (i, j) in enumerate(teg.tables.moves):
-            style = "" if teg.mask[team, t - 1, m] else " [color=gray, style=dashed]"
-            lines.append(f"  n{t - 1}_{i} -> n{t}_{j}{style};")
-    inst = teg.instance
-    for k in range(inst.team_count):
-        lines.append(f"  src_{k} [shape=box];")
-        lines.append(f"  dst_{k} [shape=box];")
-        for v in inst.sources[k]:
-            lines.append(f"  src_{k} -> n0_{v};")
-        for v in inst.destinations[k]:
-            lines.append(f"  n{teg.depth}_{v} -> dst_{k};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

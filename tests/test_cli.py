@@ -157,6 +157,29 @@ def test_bench_no_instances_is_usage_error(capsys):
     assert "--instances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_is_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--layout", "grid:1x2", "--qubits", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_bench_parallel_rows_match_serial(capsys):
+    argv = ["bench", "--layout", "grid:3x3", "--qubits", "2..3", "--instances", "2",
+            "--modes", "optimal,feasible"]
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(argv + ["--jobs", jobs], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for r in rows:
+            r.pop("runtime_ms")
+        runs.append(rows)
+    assert len(runs[0]) == 8
+    assert runs[0] == runs[1]
+
+
 def test_bench_fidelity_definition(capsys):
     code, out, _ = run_cli(["bench", "--layout", "grid:2x2", "--qubits", "2,3",
                             "--instances", "2", "--error-model", "extended",

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,64 @@ def test_forced_variable():
 def test_infeasible_toy():
     model = toy_model([0.0], [Row("up", (0,), (), "=", 1), Row("dn", (0,), (), "<=", 0)])
     assert solve(model).status == "infeasible"
+
+
+def test_propagator_matches_brute_force():
+    """Root propagation, then every ``assign``/``undo_to`` of a full search
+    tree, on random rows of +1 and -1 entries in shuffled order, checked
+    against the 0/1 points that satisfy every row."""
+    rng = np.random.default_rng(3)
+    counts = {"conflicts": 0, "fixings": 0}
+
+    def check_node(prop, points, conflict):
+        """``points``: the feasible points consistent with the node's fixings."""
+        if conflict:
+            assert not points
+            counts["conflicts"] += 1
+            return False
+        fixed = prop.values != -1
+        assert all((p[fixed] == prop.values[fixed]).all() for p in points)
+        if fixed.all():
+            assert len(points) == 1  # every row was examined after its last fixing
+        return True
+
+    def search(prop, points):
+        free = np.flatnonzero(prop.values == -1)
+        if not free.size:
+            return
+        v = int(free[0])
+        for val in (1, 0):
+            node = [p for p in points if p[v] == val]
+            before, mark = prop.values.copy(), prop.mark()
+            ok = prop.assign(v, val)
+            if check_node(prop, node, not ok):
+                counts["fixings"] += int((prop.values != -1).sum() - (before != -1).sum() - 1)
+                search(prop, node)
+            prop.undo_to(mark)
+            assert np.array_equal(prop.values, before)
+
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        rows = []
+        for r in range(int(rng.integers(1, 6))):
+            vs = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            split = int(rng.integers(0, len(vs) + 1))
+            rows.append(Row(f"r{r}", tuple(vs[:split]), tuple(vs[split:]),
+                            ("=", "<=")[int(rng.integers(0, 2))], int(rng.integers(-1, 3))))
+        model = toy_model([0.0] * n, rows)
+        shuffle = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in
+                                  zip(model.indptr[:-1], model.indptr[1:])])
+        model = replace(model, indices=model.indices[shuffle], signs=model.signs[shuffle])
+        points = []
+        for bits in itertools.product((0, 1), repeat=n):
+            lhs = [sum(bits[v] for v in r.plus) - sum(bits[v] for v in r.minus) for r in rows]
+            if all(a == r.rhs if r.rel == "=" else a <= r.rhs for a, r in zip(lhs, rows)):
+                points.append(np.array(bits, dtype=np.int8))
+        prop = solver._Propagator(model)
+        if check_node(prop, points, not prop.propagate_all()):
+            counts["fixings"] += int((prop.values != -1).sum())
+            search(prop, points)
+    assert counts["conflicts"] > 0 and counts["fixings"] > 0
 
 
 def test_one_swap_objective():

@@ -128,10 +128,3 @@ def test_team_distances_match_bfs():
             assert d_src.tolist() == distances_from_set(g, src)
             assert d_dst.tolist() == distances_from_set(g, dst)
 
-
-def test_to_dot_smoke():
-    g = build_grid(1, 2)
-    teg = texpand.trim(texpand.expand(g, team1([0], [1]), 1))
-    dot = texpand.to_dot(teg)
-    assert dot.startswith("digraph")
-    assert "src_0" in dot and "dst_0" in dot
