@@ -4,17 +4,21 @@ All variables are binary and all coefficients +/-1.  A model is arrays: CSR
 rows (``indptr``, ``indices``, and ``signs`` with each row's +1 entries before
 its -1 entries), a per-row ``eq`` flag (``=``, else ``<=``) and ``rhs``.
 ``build_model`` fills them with numpy gathers of the ``(K, T, M)`` trim mask
-through the movement tables of ``texpand.graph_tables``, built once per graph.
+through the movement tables of ``texpand.graph_tables``, built once per graph:
+each constraint family lays out its candidate rows, and one compaction pass
+over all of them drops the rows that are empty or that binarity satisfies.
 Rows keep a fixed order (family, then timestep, team, node or edge) and so do
 variables (movements by team, timestep and movement, then attachments), so an
 expansion always gives a byte-identical model.  Names are never built for the
-solver: ``rows`` and ``var_ids`` are views derived on first use.
+solver: ``row_keys``, ``rows`` and ``var_ids`` are views derived on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +38,7 @@ _FAMILIES = ("flow_src_k{}_{}", "flow_k{}_t{}_{}", "flow_dst_k{}_{}", "cap_t{}_{
 FLOW_SRC, FLOW, FLOW_DST, CAP, SRCFLOW, DSTFLOW, EXCL, SWAP = range(len(_FAMILIES))
 _EQ = np.array([True, True, True, False, True, True, False, False])
 _RHS = np.array([0, 0, 0, 1, 1, 1, 1, 1])
+_MIN_COUNT = np.where(_EQ, 1, 2)  # fewest entries of a kept row
 
 
 class Row(NamedTuple):
@@ -58,11 +63,16 @@ class BilpModel:
     signs: np.ndarray      # int8 (nonzeros,): +1 or -1
     eq: np.ndarray         # bool (rows,)
     rhs: np.ndarray        # int64 (rows,)
-    row_keys: np.ndarray   # int32 (rows, 4): family, then the ints of the row's name
+    derive_row_keys: Callable[[], np.ndarray] = field(repr=False)  # gives ``row_keys``
 
     @property
     def row_count(self) -> int:
         return len(self.rhs)
+
+    @cached_property
+    def row_keys(self) -> np.ndarray:
+        """int32 (rows, 4): family, then the ints of the row's name."""
+        return self.derive_row_keys()
 
     @cached_property
     def rows(self) -> tuple:
@@ -115,69 +125,98 @@ def build_model(teg, costs) -> BilpModel:
     move_cost = np.array([costs.movement_cost(i, j) for i, j in tab.moves])
     objective = np.concatenate([move_cost[m_of], np.zeros(len(att))])
     # per team and node, the ordinal of its source (destination) attachment or -1
-    src_of, dst_of = np.full((2, n_teams, n_nodes, 1), -1, dtype=np.int32)
     att_ord = np.arange(n_move_vars, len(var_keys), dtype=np.int32)
-    src, dst = att[:, 0] == SRC, att[:, 0] == DST
-    src_of[att[src, 1], att[src, 3], 0] = att_ord[src]
-    dst_of[att[dst, 1], att[dst, 3], 0] = att_ord[dst]
+    att_of = np.full((2, n_teams, n_nodes, 1), -1, dtype=np.int32)
+    att_of[att[:, 0] - SRC, att[:, 1], att[:, 3], 0] = att_ord
+    src_of, dst_of = att_of
+    n_src = sum(map(len, inst.sources))  # attachments list sources first
 
     # per (k, t-1, node, slot): movement ordinals out of / into each node
     outflow = var_of[:, :, tab.moves_from]
     inflow = var_of[:, :, tab.moves_into]
-    parts = []  # per family: (family, entries, row lengths, row name ints)
+    # Each family lays out its candidate rows over a grid of row coordinates:
+    # ``plus`` (and ``minus``) hold, per grid cell, the ordinals of its +1
+    # (-1) entries or -1 for "absent", and ``name`` maps grid coordinates to
+    # name ints.  Every row has at least one slot, as ``np.add.reduceat`` needs.
+    blocks = []
 
-    def add(family, plus, minus, name):
-        """Rows over a grid: ``plus``/``minus`` (*grid, width) hold ordinals or -1,
-        ``name`` maps grid coordinates to name ints.  Drops empty rows and
-        the ``<= 1`` rows binarity satisfies."""
-        grid = plus.shape[:-1]
-        n = int(np.prod(grid))
-        vals = plus.reshape(n, plus.shape[-1])
-        if minus is not None:
-            # minus ordinal v is stored as -2 - v, which leaves -1 for "absent"
-            vals = np.concatenate([vals, -2 - minus.reshape(n, minus.shape[-1])], axis=1)
-        present = vals != -1
-        count = present.sum(axis=1)
-        kept = np.flatnonzero(count > (0 if _EQ[family] else 1))
-        keys = np.zeros((len(kept), 4), dtype=np.int32)
-        keys[:, 0] = family
-        for c, col in enumerate(name(*np.unravel_index(kept, grid)), 1):
-            keys[:, c] = col
-        parts.append((vals[kept][present[kept]], count[kept], keys))
+    def add(family, grid, name, plus, minus=None):
+        blocks.append((family, grid, name, plus, minus))
 
     def step_move(t0, m):
         return t0 + 1, tab.origins[m], tab.targets[m]
 
     # (1) conservation of flow: source boundary, interior layers, destination boundary
-    add(FLOW_SRC, src_of, outflow[:, 0] if depth else dst_of, lambda k, i: (k, i))
+    add(FLOW_SRC, (n_teams, n_nodes), lambda k, i: (k, i),
+        src_of, outflow[:, 0] if depth else dst_of)
     if depth:
         # row (t, k, i): inflow at t minus outflow at t + 1
-        add(FLOW, inflow[:, :-1].transpose(1, 0, 2, 3), outflow[:, 1:].transpose(1, 0, 2, 3),
-            lambda t0, k, i: (k, t0 + 1, i))
-        add(FLOW_DST, inflow[:, -1], dst_of, lambda k, i: (k, i))
+        add(FLOW, (depth - 1, n_teams, n_nodes), lambda t0, k, i: (k, t0 + 1, i),
+            inflow[:, :-1].transpose(1, 0, 2, 3), outflow[:, 1:].transpose(1, 0, 2, 3))
+        add(FLOW_DST, (n_teams, n_nodes), lambda k, i: (k, i), inflow[:, -1], dst_of)
     # (2) edge flow capacity: one qubit per directed movement per timestep
-    add(CAP, var_of[:, :, :n_moves].transpose(1, 2, 0), None, step_move)
+    add(CAP, (depth, n_moves), step_move, var_of[:, :, :n_moves].transpose(1, 2, 0))
     # (3) unit flow on attachments (destination equalities dropped when flexible)
-    add(SRCFLOW, att_ord[src, None], None, lambda a: att[src][a][:, [1, 3]].T)
+    add(SRCFLOW, (n_src,), lambda a: att[a][:, [1, 3]].T, att_ord[:n_src, None])
     if not inst.flexible:
-        add(DSTFLOW, att_ord[dst, None], None, lambda a: att[dst][a][:, [1, 3]].T)
+        add(DSTFLOW, (len(att) - n_src,), lambda a: att[n_src + a][:, [1, 3]].T,
+            att_ord[n_src:, None])
     # (5) exclusivity of location: row (t, i) lists team by team the moves into i
-    excl = inflow.transpose(1, 2, 0, 3)
-    add(EXCL, excl.reshape(depth, n_nodes, n_teams * excl.shape[3]), None,
-        lambda t0, i: (t0 + 1, i))
+    add(EXCL, (depth, n_nodes), lambda t0, i: (t0 + 1, i), inflow.transpose(1, 2, 0, 3))
     # (6) swap-based movement, one row per ordered pair of each hardware edge:
     # row (t, a -> b) lists move by move of its sequence the ordinals of every team
-    swap = var_of[:, :, tab.swap_moves].transpose(1, 2, 3, 0)
-    add(SWAP, swap.reshape(*swap.shape[:2], n_teams * swap.shape[2]), None, step_move)
+    add(SWAP, (depth, len(tab.swap_moves)), step_move,
+        var_of[:, :, tab.swap_moves].transpose(1, 2, 3, 0))
 
-    entries, counts, keys = (np.concatenate(p) for p in zip(*parts))
-    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
+    # Copy every candidate row into one flat array, a minus ordinal v stored as
+    # -2 - v (which leaves -1 for "absent"), then compact them all at once:
+    # drop empty rows and the "<= 1" rows binarity satisfies, that is, keep
+    # the rows with at least _MIN_COUNT entries.
+    families, grids, names, pluses, minuses = zip(*blocks)
+    n_rows = np.array([math.prod(grid) for grid in grids])
+    width = np.array([math.prod(p.shape[len(grid):]) + (0 if m is None else m.shape[-1])
+                      for grid, p, m in zip(grids, pluses, minuses)]).repeat(n_rows)
+    family = np.array(families).repeat(n_rows)
+    flat = np.empty(width.sum(), dtype=np.int32)
+    end = 0
+    for p, m in zip(pluses, minuses):
+        rows = flat[end:end + p.size + (0 if m is None else m.size)]
+        end += rows.size
+        if m is None:
+            rows.reshape(p.shape)[...] = p  # a contiguous slice: reshape is a view
+        else:
+            rows = rows.reshape(*p.shape[:-1], p.shape[-1] + m.shape[-1])
+            rows[..., :p.shape[-1]] = p
+            np.subtract(-2, m, out=rows[..., p.shape[-1]:])
+    present = flat != -1
+    count = np.add.reduceat(present, width.cumsum() - width, dtype=np.int32)
+    keep = count >= _MIN_COUNT[family]
+    entries = flat[present & keep.repeat(width)]
+    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int32)
+    np.cumsum(count[keep], out=indptr[1:])
+    family = family[keep]
     minus = entries < 0
     return BilpModel(var_count=len(var_keys), objective=objective, var_keys=var_keys,
                      indptr=indptr, indices=np.where(minus, -2 - entries, entries),
-                     signs=np.where(minus, -1, 1).astype(np.int8), eq=_EQ[keys[:, 0]],
-                     rhs=_RHS[keys[:, 0]], row_keys=keys)
+                     signs=np.where(minus, -1, 1).astype(np.int8), eq=_EQ[family],
+                     rhs=_RHS[family],
+                     derive_row_keys=partial(_row_keys, keep, tuple(zip(families, grids, names))))
+
+
+def _row_keys(keep, blocks):
+    """The ``row_keys`` of the candidate rows that ``keep`` selects from
+    ``blocks``, a tuple of ``(family, grid, name)`` in emission order."""
+    keys, start = [], 0
+    for family, grid, name in blocks:
+        n = math.prod(grid)
+        kept = np.flatnonzero(keep[start:start + n])
+        start += n
+        block = np.zeros((len(kept), 4), dtype=np.int32)
+        block[:, 0] = family
+        for c, col in enumerate(name(*np.unravel_index(kept, grid)), 1):
+            block[:, c] = col
+        keys.append(block)
+    return np.concatenate(keys)
 
 
 def count_stats(model: BilpModel) -> dict:

@@ -81,7 +81,9 @@ class _Propagator:
     number of -1 entries.  Each row keeps two activity counts: ``lo``, its true
     literals, and ``hi``, its literals not yet false.  The row and variable
     incidence comes from the model's CSR arrays as flat Python lists, which
-    index faster than numpy arrays in these loops.
+    index faster than numpy arrays in these loops.  The literal-to-row side is
+    a stable sort of the entries by literal, done as 16-bit radix passes, so
+    it costs O(nonzeros).
     """
 
     def __init__(self, model):
@@ -95,9 +97,12 @@ class _Propagator:
         # row ri holds row_vars[start[ri]:start[ri + 1]], negated where row_neg is 1
         self.row_vars, self.row_neg = model.indices.tolist(), neg.astype(int).tolist()
         self.start = indptr.tolist()
-        # literal l (2v for v, 2v + 1 for 1 - v) lies in rows var_rows[at[l]:at[l + 1]]
+        # literal l (2v for v, 2v + 1 for 1 - v) lies in rows var_rows[at[l]:at[l + 1]];
+        # numpy radix-sorts 16-bit keys, so sort on the low, then the high 16 bits
         lit = 2 * model.indices.astype(np.int64) + neg
-        order = np.argsort(lit, kind="stable")
+        order = np.argsort(lit.astype(np.uint16), kind="stable")
+        if 2 * n > 1 << 16:
+            order = order[np.argsort((lit[order] >> 16).astype(np.uint16), kind="stable")]
         self.var_rows = row_of[order].tolist()
         self.at = np.concatenate([[0], np.cumsum(np.bincount(lit, minlength=2 * n))]).tolist()
         self.trail = []
@@ -223,7 +228,7 @@ class _LpRelaxation:
         if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError("LP relaxation failed: "
                               + self.highs.modelStatusToString(status))
-        return (self.highs.getInfo().objective_function_value,
+        return (self.highs.getObjectiveValue(),
                 np.asarray(self.highs.getSolution().col_value))
 
 

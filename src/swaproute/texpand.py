@@ -126,8 +126,8 @@ def trim(teg: TimeExpandedGraph) -> TimeExpandedGraph:
     """
     g, inst, depth, tables = teg.graph, teg.instance, teg.depth, teg.tables
     steps = np.arange(depth)[:, None]  # t - 1 for t = 1..T
-    mask = np.empty_like(teg.mask)
-    for k, (d_src, d_dst) in enumerate(team_distances(g, inst)):
-        mask[k] = (d_src[tables.origins] <= steps) & (d_dst[tables.targets] <= depth - 1 - steps)
+    dist = np.array(team_distances(g, inst))  # (K, 2, V): from sources, from destinations
+    mask = ((dist[:, None, 0, tables.origins] <= steps)
+            & (dist[:, None, 1, tables.targets] <= depth - 1 - steps))
     return TimeExpandedGraph(graph=g, instance=inst, depth=depth, mask=mask, tables=tables)
 

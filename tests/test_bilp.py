@@ -218,3 +218,24 @@ PINNED_EXPORTS = {
 def test_export_lp_bytes_pinned(case):
     text = solver.export_lp(pinned_model(case))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXPORTS[case]
+
+
+# sha256 of the arrays HiGHS and the propagator read, each with its dtype and
+# shape, as written by the builder that compacted every family separately
+PINNED_ARRAYS = {
+    "grid2x3": "b7f8b4e588bb29fd86764f655e1662804cbe1176f57e190200832f1a45288fc5",
+    "path6_flexible": "f045ec19f004ebb1680bc55f3c11667130b1979bb386c7ac6d9f72ae6faa4bdd",
+    "paris27": "450b894643f25f51ef09a0c14fc04e8ddc31e783ccca601104da3fd5c5c1c8bc",
+    "cycle6_depth0": "b4fcc0fa4e1b63fe32e9d77be6a1edd49448ffd21b3697a304ec9b1f4858fab7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EXPORTS))
+def test_model_arrays_pinned(case):
+    model = pinned_model(case)
+    digest = hashlib.sha256()
+    for name in ("indptr", "indices", "signs", "eq", "rhs", "var_keys", "objective"):
+        a = getattr(model, name)
+        digest.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == PINNED_ARRAYS[case]

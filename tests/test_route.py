@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from swaproute import oracle, route, texpand
+from swaproute import bilp, oracle, route, texpand
 from swaproute.graph import HardwareGraph, build_grid, build_layout, distances_from_set
 from swaproute.instance import MqpfInstance, merge_teams, random_instance
 from swaproute.noise import HERON, movement_costs, sample_error_map
@@ -453,3 +453,26 @@ def test_infeasible_up_to_cap_unreachable_in_connected_graphs():
     sol = solve_mqpf(g, uniform_error_map(g), inst)
     assert sol.solved
     assert sol.depth <= g.node_count**2
+
+
+def test_solve_path_derives_no_row_names(monkeypatch):
+    def no_names(*args):
+        raise AssertionError("row names derived on the solve path")
+    monkeypatch.setattr(bilp, "_row_keys", no_names)
+    g = build_grid(2, 3)
+    costs = movement_costs(g, uniform_error_map(g), "simple")
+    _, model = route.model_at_depth(g, random_instance(g, 2, "mixed", 0), costs, 3)
+    with pytest.raises(AssertionError, match="row names"):
+        model.rows  # the hook is where names come from
+    solved = 0
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(17):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            solved += solve_mqpf(g, uniform_error_map(g), inst).solved
+    desk = build_grid(8, 8)
+    sol = solve_mqpf(desk, sample_error_map(desk, HERON, 1000),
+                     random_instance(desk, 8, "independent", 0),
+                     RouteConfig(error_model="extended"))
+    assert solved == 51 and sol.status == "optimal"

@@ -37,7 +37,7 @@ def toy_model(objective, rows):
                        dtype=np.int8),
         eq=np.array([r.rel == "=" for r in rows]),
         rhs=np.array([r.rhs for r in rows], dtype=np.int64),
-        row_keys=np.zeros((len(rows), 4), dtype=np.int32))
+        derive_row_keys=lambda: np.zeros((len(rows), 4), dtype=np.int32))
 
 
 def brute_force_optimum(model):
@@ -132,6 +132,25 @@ def test_propagator_matches_brute_force():
             counts["fixings"] += int((prop.values != -1).sum())
             search(prop, points)
     assert counts["conflicts"] > 0 and counts["fixings"] > 0
+
+
+def test_propagator_incidence_past_16_bit_literals():
+    """Literal ids reach 2 * 40000 > 2**16, so both radix passes run; the
+    literal-to-row incidence must equal a stable argsort of the literals."""
+    rng = np.random.default_rng(5)
+    n = 40_000
+    rows = []
+    for r in range(30_000):
+        vs = rng.choice(n, size=int(rng.integers(1, 7)), replace=False).tolist()
+        split = int(rng.integers(0, len(vs) + 1))
+        rows.append(Row(f"r{r}", tuple(vs[:split]), tuple(vs[split:]), "<=", 1))
+    model = toy_model([0.0] * n, rows)
+    prop = solver._Propagator(model)
+    lit = 2 * model.indices.astype(np.int64) + (model.signs < 0)
+    assert lit.max() >= 1 << 16 and len(np.unique(lit)) < len(lit)
+    row_of = np.repeat(np.arange(model.row_count), np.diff(model.indptr))
+    assert prop.var_rows == row_of[np.argsort(lit, kind="stable")].tolist()
+    assert prop.at == [0] + np.cumsum(np.bincount(lit, minlength=2 * n)).tolist()
 
 
 def test_one_swap_objective():
