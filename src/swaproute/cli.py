@@ -233,11 +233,15 @@ def _bench_one(task):
 
 
 def cmd_bench(args):
-    _load_layout(args)  # fail fast on unknown layouts
+    # fail on an unknown layout, mode or qubit count before the header is written
+    node_count = _load_layout(args).node_count
     modes = [m.strip() for m in args.modes.split(",")]
     for m in modes:
         if m not in _MODE_NAMES:
             raise UsageError(f"unknown mode {m!r}")
+    if max(args.qubits) > node_count:
+        raise UsageError(f"--qubits {max(args.qubits)} exceeds the {node_count} nodes "
+                         f"of {args.layout}")
     tasks = []
     for n_qubits in args.qubits:
         for idx in range(args.instances):

@@ -25,6 +25,16 @@ previous basis.  A binding that is missing fails the import, and one whose
 ``passModel`` takes no arrays raises ``SolverError``.  Under ``solve``'s
 ``deadline`` argument each re-solve runs with a HiGHS time limit of the time
 left, and one that hits it ends the solve as ``deadline_exceeded``.
+
+Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
+*Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
+outside ``feasible_first``, the search keeps the root bound z and reduced
+costs d.  A column free at the root and nonbasic at 0 there lifts the bound
+of every solution that sets it to 1 to at least z + d_j.  At the first
+relaxation after each improvement of the incumbent, every such column whose
+z + d_j, less HiGHS's dual feasibility tolerance, reaches the incumbent is
+deleted from the HiGHS model.  The deletion is global, since the root bounds
+every node, and it is never undone, so each later re-solve is smaller.
 """
 
 from __future__ import annotations
@@ -178,13 +188,19 @@ class _LpRelaxation:
 
     The model's CSR rows go to HiGHS as they are.  Each node changes only the
     column bounds that differ from the previous node and re-solves with the
-    dual simplex from the previous basis.
+    dual simplex from the previous basis.  ``drop`` deletes columns from the
+    HiGHS model for the rest of the search: from then on every relaxation
+    holds them at 0, a node that fixes one of them to 1 is infeasible, and
+    no deletion is ever undone.
     """
 
     def __init__(self, model):
         n = model.var_count
+        self.n = n
         self.lb = np.zeros(n)
         self.ub = np.ones(n)
+        self.dropped = None  # once a column is dropped: the mask of model ordinals dropped
+        self.cols = None     # and the model ordinals HiGHS still holds, in its order
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
         self.highs = _highs._Highs()
@@ -201,13 +217,32 @@ class _LpRelaxation:
         if status == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP relaxation")
 
+    def drop(self, mask):
+        """Deletes the columns of the model ordinals in ``mask`` from HiGHS."""
+        if self.dropped is None:
+            self.dropped, self.cols = np.zeros(self.n, dtype=bool), np.arange(self.n)
+        gone = mask[self.cols]
+        if not gone.any():
+            return
+        at = np.flatnonzero(gone).astype(np.int32)
+        if self.highs.deleteCols(at.size, at) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS could not delete LP columns")
+        self.dropped[self.cols[at]] = True
+        keep = ~gone
+        self.cols, self.lb, self.ub = self.cols[keep], self.lb[keep], self.ub[keep]
+
     def bound(self, values, time_left=None):
-        """Relaxation of the subproblem with ``values`` fixed (-1 = free).
+        """Relaxation of the subproblem with ``values`` fixed (-1 = free) and
+        the dropped columns at 0.
 
         Returns (bound, x), or None when the subproblem is infeasible.
         Raises ``_LpTimeLimit`` when the solve takes longer than
         ``time_left`` seconds.
         """
+        if self.cols is not None:
+            if (values[self.dropped] == 1).any():
+                return None
+            values = values[self.cols]
         lb, ub = np.where(values == 1, 1.0, 0.0), np.where(values == 0, 0.0, 1.0)
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub)).astype(np.int32)
         if changed.size:
@@ -228,8 +263,11 @@ class _LpRelaxation:
         if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError("LP relaxation failed: "
                               + self.highs.modelStatusToString(status))
-        return (self.highs.getObjectiveValue(),
-                np.asarray(self.highs.getSolution().col_value))
+        x = np.asarray(self.highs.getSolution().col_value)
+        if self.cols is not None:
+            x, held = np.zeros(self.n), x
+            x[self.cols] = held
+        return self.highs.getObjectiveValue(), x
 
 
 def _check_assignment(model, x):
@@ -272,6 +310,10 @@ def solve(model, cfg: SolverConfig | None = None,
     if not prop.propagate_all():
         return result("infeasible")
     lp = None  # built at the first node that leaves a variable free
+    # per column, a lower bound from the root's reduced costs on every solution
+    # that sets it to 1 (-inf where none is known), set at a fractional root,
+    # and the incumbent value that columns were last priced out against
+    floor, priced = None, np.inf
 
     while True:
         if stop_at is not None and time.monotonic() > stop_at:
@@ -286,6 +328,12 @@ def solve(model, cfg: SolverConfig | None = None,
             cand = None
             if lp is None:
                 lp = _LpRelaxation(model)
+            elif floor is not None and inc_obj < priced:
+                # no solution that sets these columns to 1 can beat the incumbent;
+                # done here, not when the incumbent improves, so that a search
+                # ending first deletes nothing
+                lp.drop(floor >= inc_obj - _OBJ_TOL)
+                priced = inc_obj
             try:
                 relaxed = lp.bound(prop.values,
                                    None if stop_at is None else stop_at - time.monotonic())
@@ -296,6 +344,14 @@ def solve(model, cfg: SolverConfig | None = None,
                 if np.abs(x - np.round(x))[free].max() <= _INT_TOL:
                     cand = np.where(free, np.round(x), prop.values).astype(np.int8)
                 else:
+                    if nodes == 1 and mode != "feasible_first":
+                        # a column nonbasic at 0 costs at least its reduced cost d
+                        # more; HiGHS's dual tolerance covers d's own error.  The
+                        # solution is fetched again, not kept from bound(): one held
+                        # across re-solves raised desk8x8's peak RSS by about 1.7 MB
+                        d = np.asarray(lp.highs.getSolution().col_dual)
+                        tol = lp.highs.getOptionValue("dual_feasibility_tolerance")[1]
+                        floor = np.where(free & (d > tol), bound + d - tol, -np.inf)
                     # branch on the most fractional free variable, ties by ordinal
                     v = int(np.argmax(np.where(free, 0.5 - np.abs(x - 0.5), -1.0)))
                     preferred = 1 if x[v] >= 0.5 else 0

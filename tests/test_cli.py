@@ -150,6 +150,14 @@ def test_bench_bad_qubits_is_usage_error(qubits, capsys):
     assert "--qubits" in capsys.readouterr().err
 
 
+def test_bench_qubits_past_node_count_fails_before_any_row(capsys):
+    code, out, err = run_cli(["bench", "--layout", "grid:3x3", "--qubits", "2..20",
+                              "--instances", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--qubits 20 exceeds the 9 nodes" in err
+
+
 def test_bench_no_instances_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "--layout", "grid:1x2", "--qubits", "1", "--instances", "0"])

@@ -162,9 +162,26 @@ def test_one_swap_objective():
     assert res.objective == pytest.approx(-3.0 * math.log(0.999), abs=1e-12)
 
 
-def test_solver_matches_brute_force():
+def count_dropped(monkeypatch):
+    """Columns that ``_LpRelaxation.drop`` deletes from here on, one entry per call."""
+    counts = []
+    drop = solver._LpRelaxation.drop
+
+    def counted(lp, mask):
+        held = lp.n if lp.cols is None else len(lp.cols)
+        drop(lp, mask)
+        counts.append(held - len(lp.cols))
+    monkeypatch.setattr(solver._LpRelaxation, "drop", counted)
+    return counts
+
+
+def test_solver_matches_brute_force(monkeypatch):
+    """Small routing models, which all solve at the root, then random
+    set-packing and set-partitioning models, some of which branch and so
+    reach root reduced-cost fixing."""
+    dropped = count_dropped(monkeypatch)
     rng = np.random.default_rng(0)
-    checked = 0
+    models = []
     for seed in range(60):
         g = build_grid(1, 3) if seed % 2 else build_grid(2, 2)
         n = 1 + seed % 3
@@ -172,8 +189,17 @@ def test_solver_matches_brute_force():
         depth = int(rng.integers(1, 3))
         model = routing_model(g, inst, depth,
                               ("simple", "extended")[seed % 2], eps=0.004)
-        if model.var_count > 18:
-            continue
+        if model.var_count <= 18:
+            models.append(model)
+    assert len(models) >= 20
+    for _ in range(60):
+        n = int(rng.integers(10, 14))
+        rows = [Row(f"r{r}", tuple(rng.choice(n, size=int(rng.integers(3, 5)),
+                                              replace=False).tolist()),
+                    (), ("=", "<=")[r % 2], 1)
+                for r in range(int(rng.integers(6, 10)))]
+        models.append(toy_model(rng.random(n).round(3).tolist(), rows))
+    for model in models:
         expect = brute_force_optimum(model)
         res = solve(model)
         if expect is None:
@@ -181,12 +207,12 @@ def test_solver_matches_brute_force():
         else:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(expect[0], abs=1e-9)
-        checked += 1
-    assert checked >= 20
+    assert sum(dropped) > 0
 
 
-def cold_relaxation(model, values):
-    """Reference LP bound: rows assembled in Python, one cold ``linprog`` call."""
+def cold_relaxation(model, values, dropped=None):
+    """Reference LP bound: rows assembled in Python, one cold ``linprog`` call.
+    Columns in the mask ``dropped`` get upper bound 0."""
     parts = {"=": ([], [], [], []), "<=": ([], [], [], [])}
     for r in model.rows:
         data, ri, ci, rhs = parts[r.rel]
@@ -205,7 +231,12 @@ def cold_relaxation(model, values):
 
     a_eq, b_eq = matrix("=")
     a_ub, b_ub = matrix("<=")
-    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 else 1.0) for v in values]
+    if dropped is None:
+        dropped = np.zeros(model.var_count, dtype=bool)
+    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 or gone else 1.0)
+              for v, gone in zip(values, dropped)]
+    if any(lo > hi for lo, hi in bounds):
+        return None
     res = linprog(model.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 2:
@@ -222,10 +253,14 @@ def desk_model():
     return bilp.build_model(texpand.trim(texpand.expand(g, inst, 7)), costs)
 
 
-def test_warm_relaxation_matches_cold_along_dive():
-    model = desk_model()
+def check_dive(model, drop):
+    """With ``drop``, three fractional root columns and a third of the root
+    zeros outside the dive leave HiGHS at the root, and another third at
+    step 5; the bounds must then match a cold LP with those columns held at
+    0, and ``x`` must be 0 on them."""
     lp = solver._LpRelaxation(model)
     values = np.full(model.var_count, -1, dtype=np.int8)
+    dropped = np.zeros(model.var_count, dtype=bool)
     root = lp.bound(values)
     assert root[0] == pytest.approx(cold_relaxation(model, values), rel=0, abs=1e-9)
     # fixing variables to a root optimum's 0/1 values keeps that optimum feasible
@@ -238,8 +273,23 @@ def test_warm_relaxation_matches_cold_along_dive():
                  if r.rel == "<=" and r.rhs == 1 and not r.minus and len(r.plus) >= 2)
     ones = [v for v in ones if v not in clash]
     zeros = [v for v in zeros if v not in clash]
+
+    def drop_columns(cols):
+        mask = np.zeros(model.var_count, dtype=bool)
+        mask[cols] = True
+        lp.drop(mask)
+        dropped[mask] = True
+
+    if drop:
+        fractional = rng.permutation(np.flatnonzero((x0 > 1e-9) & (x0 < 1 - 1e-9)))
+        drop_columns(list(fractional[:3]) + zeros[20::3])
+        warm = lp.bound(values)
+        assert warm[0] == pytest.approx(cold_relaxation(model, values, dropped), rel=0, abs=1e-9)
+        assert warm[0] > root[0] + 1e-6 and not warm[1][dropped].any()
     infeasible = 0
     for step in range(20):
+        if step == 5 and drop:
+            drop_columns(zeros[21::3])
         if step == 10:
             values[list(clash)] = 1
         elif step == 11:
@@ -248,13 +298,24 @@ def test_warm_relaxation_matches_cold_along_dive():
             values[ones[step]] = 1
         else:
             values[zeros[step]] = 0
-        warm, cold = lp.bound(values), cold_relaxation(model, values)
+        warm, cold = lp.bound(values), cold_relaxation(model, values, dropped)
         if cold is None:
             assert warm is None
             infeasible += 1
         else:
             assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
+            assert not warm[1][dropped].any()
     assert infeasible == 1
+    if drop:
+        # a node that fixes a dropped column to 1 is infeasible
+        values[np.flatnonzero(dropped)[0]] = 1
+        assert lp.bound(values) is None and cold_relaxation(model, values, dropped) is None
+
+
+def test_warm_relaxation_matches_cold_along_dive():
+    model = desk_model()
+    for drop in (False, True):
+        check_dive(model, drop)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_EXPORTS) + ["desk"])
@@ -372,6 +433,33 @@ def test_lp_failure_raises_solver_error():
     lp.highs.setOptionValue("simplex_iteration_limit", 0)
     with pytest.raises(SolverError, match="LP relaxation failed"):
         lp.bound(np.full(model.var_count, -1, dtype=np.int8))
+
+
+# scipy.optimize.milp optima of criterion-10 seeds (8x8 grid, 8 qubits, HERON
+# noise seed s + 1000, extended error model), as in perfbench/references
+DESK_OPTIMA = {0: 0.46290207497436264, 2: 0.4846704401502288,
+               16: 0.49923058597153547, 36: 0.5549169378264706}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_OPTIMA))
+def test_root_reduced_cost_fixing_keeps_desk_optima(seed, monkeypatch):
+    dropped = count_dropped(monkeypatch)
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", seed)
+    emap = sample_error_map(g, HERON, seed + 1000)
+    cost = {}
+    for mode in ("optimal", "near_optimal", "feasible_first"):
+        cfg = route.RouteConfig(solver=SolverConfig(mode=mode), error_model="extended",
+                                timeout=60)
+        sol = route.solve_mqpf(g, emap, inst, cfg)
+        assert sol.solved, mode
+        cost[mode] = sol.cost
+        if mode == "optimal":
+            assert sol.status == "optimal"
+            assert sol.cost == pytest.approx(DESK_OPTIMA[seed], rel=0, abs=1e-9)
+            assert sum(dropped) > 0
+    assert cost["optimal"] <= cost["near_optimal"] + 1e-9
+    assert cost["near_optimal"] <= cost["feasible_first"] + 1e-9
 
 
 def test_determinism():
