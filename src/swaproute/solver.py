@@ -25,6 +25,11 @@ previous basis.  A binding that is missing fails the import, and one whose
 ``passModel`` takes no arrays raises ``SolverError``.  Under ``solve``'s
 ``deadline`` argument each re-solve runs with a HiGHS time limit of the time
 left, and one that hits it ends the solve as ``deadline_exceeded``.
+The HiGHS objects outlive their relaxations: ``solve`` hands its object,
+cleared of model, basis and options, to a per-process list of idle objects
+when it returns a result, and the next relaxation takes one from there
+instead of constructing its own.  A relaxation built anywhere else, or one
+whose solve raises, is dropped with its object.
 
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
@@ -179,6 +184,16 @@ class _Propagator:
         return True
 
 
+# idle HiGHS objects, cleared and set up as a fresh one; list.pop and
+# list.append are atomic, so threads that solve at once never share one
+_IDLE_HIGHS = []
+
+
+def _set_options(highs):
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+
+
 class _LpTimeLimit(Exception):
     """An LP relaxation ran out of the solve's remaining time."""
 
@@ -191,7 +206,8 @@ class _LpRelaxation:
     dual simplex from the previous basis.  ``drop`` deletes columns from the
     HiGHS model for the rest of the search: from then on every relaxation
     holds them at 0, a node that fixes one of them to 1 is infeasible, and
-    no deletion is ever undone.
+    no deletion is ever undone.  The HiGHS object comes from the idle list
+    when it holds one, and ``release`` gives it back there.
     """
 
     def __init__(self, model):
@@ -203,9 +219,11 @@ class _LpRelaxation:
         self.cols = None     # and the model ordinals HiGHS still holds, in its order
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
-        self.highs = _highs._Highs()
-        self.highs.setOptionValue("output_flag", False)
-        self.highs.setOptionValue("presolve", "off")
+        try:
+            self.highs = _IDLE_HIGHS.pop()
+        except IndexError:
+            self.highs = _highs._Highs()
+            _set_options(self.highs)
         try:
             status = self.highs.passModel(
                 n, model.row_count, len(model.indices), _highs.MatrixFormat.kRowwise,
@@ -216,6 +234,14 @@ class _LpRelaxation:
             raise SolverError(f"HiGHS passModel takes no model as arrays: {exc}") from exc
         if status == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP relaxation")
+
+    def release(self):
+        """Clears the HiGHS object, time limit included, and hands it to the
+        idle list.  The relaxation cannot be used afterwards."""
+        highs, self.highs = self.highs, None
+        highs.clear()
+        _set_options(highs)
+        _IDLE_HIGHS.append(highs)
 
     def drop(self, mask):
         """Deletes the columns of the model ordinals in ``mask`` from HiGHS."""
@@ -298,6 +324,8 @@ def solve(model, cfg: SolverConfig | None = None,
         return min((f[3] for f in stack), default=inc_obj)
 
     def result(status):
+        if lp is not None:
+            lp.release()
         bb = open_bound()
         return SolveResult(
             status=status,
@@ -307,9 +335,9 @@ def solve(model, cfg: SolverConfig | None = None,
             gap=max((inc_obj - bb) / max(inc_obj, 1e-12), 0.0) if status == "feasible" else None,
             nodes=nodes)
 
+    lp = None  # built at the first node that leaves a variable free
     if not prop.propagate_all():
         return result("infeasible")
-    lp = None  # built at the first node that leaves a variable free
     # per column, a lower bound from the root's reduced costs on every solution
     # that sets it to 1 (-inf where none is known), set at a fractional root,
     # and the incumbent value that columns were last priced out against

@@ -173,11 +173,16 @@ def test_bench_jobs_below_one_is_usage_error(jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_bench_parallel_rows_match_serial(capsys):
+def test_bench_parallel_rows_match_serial(capsys, monkeypatch):
+    """The serial run leaves an idle HiGHS object in the parent, and the
+    forked workers inherit it."""
+    pool = []
+    monkeypatch.setattr(solver, "_IDLE_HIGHS", pool)
     argv = ["bench", "--layout", "grid:3x3", "--qubits", "2..3", "--instances", "2",
             "--modes", "optimal,feasible"]
     runs = []
     for jobs in ("1", "2"):
+        assert bool(pool) == (jobs == "2")
         code, out, _ = run_cli(argv + ["--jobs", jobs], capsys)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))

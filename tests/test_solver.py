@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import math
@@ -175,6 +176,17 @@ def count_dropped(monkeypatch):
     return counts
 
 
+def set_packing_model(rng):
+    """A random model of 10-13 variables whose rows alternate between "= 1"
+    and "<= 1" over 3-4 of them."""
+    n = int(rng.integers(10, 14))
+    rows = [Row(f"r{r}", tuple(rng.choice(n, size=int(rng.integers(3, 5)),
+                                          replace=False).tolist()),
+                (), ("=", "<=")[r % 2], 1)
+            for r in range(int(rng.integers(6, 10)))]
+    return toy_model(rng.random(n).round(3).tolist(), rows)
+
+
 def test_solver_matches_brute_force(monkeypatch):
     """Small routing models, which all solve at the root, then random
     set-packing and set-partitioning models, some of which branch and so
@@ -192,13 +204,7 @@ def test_solver_matches_brute_force(monkeypatch):
         if model.var_count <= 18:
             models.append(model)
     assert len(models) >= 20
-    for _ in range(60):
-        n = int(rng.integers(10, 14))
-        rows = [Row(f"r{r}", tuple(rng.choice(n, size=int(rng.integers(3, 5)),
-                                              replace=False).tolist()),
-                    (), ("=", "<=")[r % 2], 1)
-                for r in range(int(rng.integers(6, 10)))]
-        models.append(toy_model(rng.random(n).round(3).tolist(), rows))
+    models += [set_packing_model(rng) for _ in range(60)]
     for model in models:
         expect = brute_force_optimum(model)
         res = solve(model)
@@ -347,6 +353,9 @@ def test_array_handoff_matches_model_and_cold_lp(case):
 
 
 def test_binding_without_array_pass_model_is_solver_error(monkeypatch, capsys):
+    # with idle objects at hand the solver would construct none
+    monkeypatch.setattr(solver, "_IDLE_HIGHS", [])
+
     class ModelObjectsOnly:
         def setOptionValue(self, name, value):
             pass
@@ -426,13 +435,87 @@ def test_criterion_1_solves_without_lp_match_oracle(monkeypatch):
         assert without_lp >= 1, name
 
 
-def test_lp_failure_raises_solver_error():
+def test_lp_failure_raises_solver_error(monkeypatch):
+    pool = []
+    monkeypatch.setattr(solver, "_IDLE_HIGHS", pool)
     g = build_grid(2, 2)
     model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
     lp = solver._LpRelaxation(model)
     lp.highs.setOptionValue("simplex_iteration_limit", 0)
     with pytest.raises(SolverError, match="LP relaxation failed"):
         lp.bound(np.full(model.var_count, -1, dtype=np.int8))
+    # a relaxation built outside solve never hands its object to the pool
+    calls = count_lp_builds(monkeypatch)
+    assert solve(model).status == "optimal" and calls
+    assert len(pool) == 1 and pool[0] is not lp.highs
+    assert pool[0].getOptionValue("simplex_iteration_limit")[1] > 0
+    del lp
+    gc.collect()
+    assert len(pool) == 1
+
+
+def test_live_relaxations_never_share_highs(monkeypatch):
+    pool = []
+    monkeypatch.setattr(solver, "_IDLE_HIGHS", pool)
+    g = build_grid(2, 2)
+    model = routing_model(g, random_instance(g, 3, "independent", 5), 3)
+    for lp in [solver._LpRelaxation(model) for _ in range(2)]:
+        lp.release()
+    assert len(pool) == 2
+    live = [solver._LpRelaxation(model) for _ in range(3)]
+    assert not pool and len({id(lp.highs) for lp in live}) == 3
+    live.pop(0).release()
+    live.append(solver._LpRelaxation(model))
+    assert not pool and len({id(lp.highs) for lp in live}) == 3
+    # a solve while relaxations are alive takes a HiGHS object of its own
+    assert solve(model).status == "optimal"
+    assert len(pool) == 1 and all(pool[0] is not lp.highs for lp in live)
+    root = np.full(model.var_count, -1, dtype=np.int8)
+    assert len({lp.bound(root)[0] for lp in live}) == 1
+
+
+def outcome(res):
+    assignment = None if res.assignment is None else res.assignment.tolist()
+    return res.status, repr(res.objective), assignment, res.nodes
+
+
+def test_reused_highs_leaves_no_trace(monkeypatch):
+    """One HiGHS object goes through an LP time limit, column deletion and
+    an infeasible LP; solves on it then match solves on fresh objects."""
+    rng = np.random.default_rng(0)
+    packing = [set_packing_model(rng) for _ in range(10)]
+    dropping, toy = packing[3], packing[9]  # 4 nodes with a deletion; 2 nodes
+    # no row forces a variable, but the two "= 1" rows overfill the "<= 1" row
+    infeasible_lp = toy_model([1.0] * 4, [Row("a", (0, 1), (), "=", 1),
+                                          Row("b", (2, 3), (), "=", 1),
+                                          Row("c", (0, 1, 2, 3), (), "<=", 1)])
+    desk = desk_model()
+    fresh = []
+    for model in (desk, toy):
+        monkeypatch.setattr(solver, "_IDLE_HIGHS", [])
+        fresh.append(outcome(solve(model)))
+    expect = brute_force_optimum(toy)
+    assert fresh[1][0] == "optimal" and fresh[1][3] > 1
+    assert float(fresh[1][1]) == pytest.approx(expect[0], abs=1e-9)
+
+    pool = []
+    monkeypatch.setattr(solver, "_IDLE_HIGHS", pool)
+    bound = solver._LpRelaxation.bound
+    with monkeypatch.context() as m:
+        m.setattr(solver._LpRelaxation, "bound",
+                  lambda self, values, time_left: bound(self, values, 0.0))
+        assert solve(desk, deadline=60.0).status == "deadline_exceeded"
+    [highs] = pool
+    assert highs.getOptionValue("time_limit")[1] == math.inf
+    dropped = count_dropped(monkeypatch)
+    assert solve(dropping).status == "optimal" and sum(dropped) > 0
+    calls = count_lp_builds(monkeypatch)
+    res = solve(infeasible_lp)
+    assert res.status == "infeasible" and res.nodes == 1 and calls
+    for model, want in zip((desk, toy), fresh):
+        assert outcome(solve(model)) == want
+    assert len(pool) == 1 and pool[0] is highs
+    assert highs.getOptionValue("time_limit")[1] == math.inf
 
 
 # scipy.optimize.milp optima of criterion-10 seeds (8x8 grid, 8 qubits, HERON
