@@ -10,7 +10,7 @@ over all of them drops the rows that are empty or that binarity satisfies.
 Rows keep a fixed order (family, then timestep, team, node or edge) and so do
 variables (movements by team, timestep and movement, then attachments), so an
 expansion always gives a byte-identical model.  Names are never built for the
-solver: ``row_keys``, ``rows`` and ``var_ids`` are views derived on first use.
+solver: ``rows`` and ``var_ids`` are views derived on first use.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import numpy as np
 MOVE, SRC, DST = 0, 1, 2
 _VAR_NAMES = ("x_k{1}_t{2}_{3}_{4}", "s_k{1}_{3}", "d_k{1}_{3}")
 
-# Row families in ``BilpModel.row_keys[:, 0]``, in emission order: the row
-# name each formats from the key's remaining columns, its relation and rhs.
+# Row families in column 0 of ``BilpModel.derive_row_keys()``, in emission
+# order: the row name each formats from the key's remaining columns, its
+# relation and rhs.
 _FAMILIES = ("flow_src_k{}_{}", "flow_k{}_t{}_{}", "flow_dst_k{}_{}", "cap_t{}_{}_{}",
              "srcflow_k{}_{}", "dstflow_k{}_{}", "excl_t{}_{}", "swap_t{}_{}_{}")
 FLOW_SRC, FLOW, FLOW_DST, CAP, SRCFLOW, DSTFLOW, EXCL, SWAP = range(len(_FAMILIES))
@@ -63,16 +64,12 @@ class BilpModel:
     signs: np.ndarray      # int8 (nonzeros,): +1 or -1
     eq: np.ndarray         # bool (rows,)
     rhs: np.ndarray        # int64 (rows,)
-    derive_row_keys: Callable[[], np.ndarray] = field(repr=False)  # gives ``row_keys``
+    # returns the int32 (rows, 4) row keys: family, then the ints of the row's name
+    derive_row_keys: Callable[[], np.ndarray] = field(repr=False)
 
     @property
     def row_count(self) -> int:
         return len(self.rhs)
-
-    @cached_property
-    def row_keys(self) -> np.ndarray:
-        """int32 (rows, 4): family, then the ints of the row's name."""
-        return self.derive_row_keys()
 
     @cached_property
     def rows(self) -> tuple:
@@ -82,7 +79,7 @@ class BilpModel:
         return tuple(Row(_FAMILIES[f].format(a, b, c), tuple(ind[lo:m]), tuple(ind[m:hi]),
                          "=" if eq else "<=", rhs)
                      for (f, a, b, c), eq, rhs, lo, m, hi in zip(
-                         self.row_keys.tolist(), self.eq.tolist(), self.rhs.tolist(),
+                         self.derive_row_keys().tolist(), self.eq.tolist(), self.rhs.tolist(),
                          ptr, mid.tolist(), ptr[1:]))
 
     @cached_property
@@ -204,7 +201,7 @@ def build_model(teg, costs) -> BilpModel:
 
 
 def _row_keys(keep, blocks):
-    """The ``row_keys`` of the candidate rows that ``keep`` selects from
+    """The row keys of the candidate rows that ``keep`` selects from
     ``blocks``, a tuple of ``(family, grid, name)`` in emission order."""
     keys, start = [], 0
     for family, grid, name in blocks:

@@ -87,13 +87,10 @@ def _file_text(path, text=None):
 
 
 def _load_layout(args):
-    try:
-        g = graph.build_layout(args.layout)
-        if getattr(args, "drop_node", None) is not None:
-            g = graph.drop_node(g, args.drop_node)
-        return g
-    except graph.GraphError as exc:
-        raise UsageError(str(exc)) from None
+    g = graph.build_layout(args.layout)
+    if getattr(args, "drop_node", None) is not None:
+        g = graph.drop_node(g, args.drop_node)
+    return g
 
 
 def _load_noise(spec: str, g, seed: int):
@@ -151,9 +148,9 @@ def cmd_solve(args):
     if violations:
         raise UsageError("invalid instance: " + "; ".join(violations))
     emap = _load_noise(args.noise, g, args.noise_seed)
-    costs = noise.movement_costs(g, emap, args.error_model)
 
     if args.export_lp is not None:
+        costs = noise.movement_costs(g, emap, args.error_model)
         depth = route.lower_bound_dijkstra(inst=inst, g=g)
         _, model = route.model_at_depth(g, inst, costs, depth, trim=not args.no_trim)
         _file_text(args.export_lp, solver.export_lp(model))
@@ -319,10 +316,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (inst_mod.InstanceError, noise.NoiseError, route.RouteError) as exc:
+    except (UsageError, graph.GraphError, inst_mod.InstanceError, noise.NoiseError,
+            route.RouteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except solver.SolverError as exc:

@@ -37,20 +37,8 @@ class HardwareGraph:
             neighbors[i].append(j)
             neighbors[j].append(i)
         self.neighbors = tuple(tuple(sorted(ns)) for ns in neighbors)
-        self._check_connected()
-
-    def _check_connected(self):
-        seen = [False] * self.node_count
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        if not all(seen):
-            missing = [v for v, s in enumerate(seen) if not s]
+        missing = [v for v, d in enumerate(distances_from_set(self, (0,))) if d < 0]
+        if missing:
             raise GraphError(f"graph is disconnected; unreachable nodes {missing}")
 
     @property
@@ -143,6 +131,13 @@ def save_graph(g: HardwareGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_int(text, lineno):
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"line {lineno}: expected an integer, got {text!r}") from None
+
+
 def load_graph(text: str) -> HardwareGraph:
     """Parse the line-oriented graph format: ``nodes <n>`` then ``edge <i> <j>`` lines."""
     node_count = None
@@ -155,11 +150,13 @@ def load_graph(text: str) -> HardwareGraph:
         if parts[0] == "nodes":
             if len(parts) != 2:
                 raise GraphError(f"line {lineno}: expected 'nodes <n>'")
-            node_count = int(parts[1])
+            if node_count is not None:
+                raise GraphError(f"line {lineno}: repeated nodes line")
+            node_count = _line_int(parts[1], lineno)
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'edge <i> <j>'")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_line_int(parts[1], lineno), _line_int(parts[2], lineno)))
         else:
             raise GraphError(f"line {lineno}: unknown directive {parts[0]!r}")
     if node_count is None:

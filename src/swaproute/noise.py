@@ -91,9 +91,6 @@ class ErrorMap:
                 if v <= 0:
                     raise NoiseError(f"{name} values must be > 0, got {v}")
 
-    def edge_error(self, i: int, j: int) -> float:
-        return self.cnot_error[(min(i, j), max(i, j))]
-
 
 def _truncated_draw(rng, draw, lo, hi):
     # Bounds are treated as inclusive except a zero lower bound, which the
@@ -238,9 +235,7 @@ def save_error_map(emap: ErrorMap) -> str:
 
 def load_error_map(text: str, g=None) -> ErrorMap:
     """Parse the error-map text format; validates edge coverage against ``g`` if given."""
-    cnot = {}
-    deco = {}
-    duration = DEFAULT_CNOT_DURATION
+    values = {}  # ("cnot", i, j) with i < j, ("decoherence", v) or ("cnot_duration_ns",)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -249,15 +244,21 @@ def load_error_map(text: str, g=None) -> ErrorMap:
         try:
             if parts[0] == "cnot" and len(parts) == 4:
                 i, j = int(parts[1]), int(parts[2])
-                cnot[(min(i, j), max(i, j))] = float(parts[3])
+                key, value = ("cnot", min(i, j), max(i, j)), float(parts[3])
             elif parts[0] == "decoherence" and len(parts) == 4:
-                deco[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                key, value = ("decoherence", int(parts[1])), (float(parts[2]), float(parts[3]))
             elif parts[0] == "cnot_duration_ns" and len(parts) == 2:
-                duration = float(parts[1]) * 1e-9
+                key, value = (parts[0],), float(parts[1]) * 1e-9
             else:
                 raise ValueError
         except ValueError:
             raise NoiseError(f"line {lineno}: bad error-map line {raw!r}") from None
+        if key in values:
+            raise NoiseError(f"line {lineno}: repeated {' '.join(map(str, key))}")
+        values[key] = value
+    cnot = {key[1:]: e for key, e in values.items() if key[0] == "cnot"}
+    deco = {key[1]: tt for key, tt in values.items() if key[0] == "decoherence"}
+    duration = values.get(("cnot_duration_ns",), DEFAULT_CNOT_DURATION)
     if not deco:
         raise NoiseError("error map has no decoherence lines")
     n = max(deco) + 1

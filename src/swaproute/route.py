@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import bilp, texpand
 from .instance import merge_teams, validate as validate_instance
-from .noise import accumulated_error, movement_costs
+from .noise import MovementCosts, accumulated_error, movement_costs
 from .solver import SolverConfig, solve
 
 PRESOLVES = ("none", "dijkstra", "single_team")
@@ -131,12 +131,13 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     Merging all teams can only shorten the optimal schedule, and the merged
     instance solves orders of magnitude faster.  The merged solve runs under
     the ``dijkstra`` presolve, so it deepens from the merged instance's
-    matching bound, and in ``feasible_first`` mode with unit movement costs
-    (``_MoveCount``): the depth it returns does not depend on the costs,
-    and positive ones steer its LP relaxations to integral vertices.  It
-    runs within ``cfg.timeout`` and raises ``PresolveIncomplete`` when it
-    runs out of time or finds the merged instance infeasible up to the depth
-    cap (which makes the original instance infeasible up to the same cap).
+    matching bound, and in ``feasible_first`` mode on ``simple`` movement
+    costs of 1.0 on both directions of every edge and 0.0 for idling: the
+    depth it returns does not depend on the costs, and positive ones steer
+    its LP relaxations to integral vertices.  It runs within ``cfg.timeout``
+    and raises ``PresolveIncomplete`` when it runs out of time or finds the
+    merged instance infeasible up to the depth cap (which makes the original
+    instance infeasible up to the same cap).
     The bound can lie below ``lower_bound_matching`` of the original
     instance; ``_deepen`` starts at the larger of the two.
     """
@@ -144,19 +145,11 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     relaxed = merge_teams(inst)
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=SolverConfig(mode="feasible_first"))
-    sol = _deepen(g, relaxed, sub, costs=_MoveCount())
+    unit = {m: 1.0 for i, j in g.edges for m in ((i, j), (j, i))}
+    sol = _deepen(g, relaxed, sub, MovementCosts("simple", unit, (0.0,) * g.node_count))
     if not sol.solved:
         raise PresolveIncomplete(sol.status)
     return sol.depth
-
-
-@dataclass(frozen=True)
-class _MoveCount:
-    # feasibility-only solves: one unit per movement, idling is free
-    model: str = "simple"
-
-    def movement_cost(self, i, j):
-        return float(i != j)
 
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:

@@ -206,17 +206,19 @@ class _LpRelaxation:
     dual simplex from the previous basis.  ``drop`` deletes columns from the
     HiGHS model for the rest of the search: from then on every relaxation
     holds them at 0, a node that fixes one of them to 1 is infeasible, and
-    no deletion is ever undone.  The HiGHS object comes from the idle list
-    when it holds one, and ``release`` gives it back there.
+    no deletion is ever undone.  ``bound`` gathers the fixings through
+    ``cols``, the model ordinals of the columns HiGHS holds, and scatters
+    the solution back, with zeros at the dropped columns.  The HiGHS object
+    comes from the idle list when it holds one, and ``release`` gives it
+    back there.
     """
 
     def __init__(self, model):
         n = model.var_count
-        self.n = n
         self.lb = np.zeros(n)
         self.ub = np.ones(n)
-        self.dropped = None  # once a column is dropped: the mask of model ordinals dropped
-        self.cols = None     # and the model ordinals HiGHS still holds, in its order
+        self.dropped = np.zeros(n, dtype=bool)  # the mask of model ordinals dropped
+        self.cols = np.arange(n)  # the model ordinals HiGHS still holds, in its order
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
         try:
@@ -245,8 +247,6 @@ class _LpRelaxation:
 
     def drop(self, mask):
         """Deletes the columns of the model ordinals in ``mask`` from HiGHS."""
-        if self.dropped is None:
-            self.dropped, self.cols = np.zeros(self.n, dtype=bool), np.arange(self.n)
         gone = mask[self.cols]
         if not gone.any():
             return
@@ -265,10 +265,9 @@ class _LpRelaxation:
         Raises ``_LpTimeLimit`` when the solve takes longer than
         ``time_left`` seconds.
         """
-        if self.cols is not None:
-            if (values[self.dropped] == 1).any():
-                return None
-            values = values[self.cols]
+        if (values[self.dropped] == 1).any():
+            return None
+        values = values[self.cols]
         lb, ub = np.where(values == 1, 1.0, 0.0), np.where(values == 0, 0.0, 1.0)
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub)).astype(np.int32)
         if changed.size:
@@ -289,10 +288,8 @@ class _LpRelaxation:
         if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError("LP relaxation failed: "
                               + self.highs.modelStatusToString(status))
-        x = np.asarray(self.highs.getSolution().col_value)
-        if self.cols is not None:
-            x, held = np.zeros(self.n), x
-            x[self.cols] = held
+        x = np.zeros(self.dropped.size)
+        x[self.cols] = self.highs.getSolution().col_value
         return self.highs.getObjectiveValue(), x
 
 

@@ -95,6 +95,25 @@ def test_unknown_layout_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("layout, node, message", [
+    ("grid:1x3", "1", "graph is disconnected; unreachable nodes [1]"),
+    ("grid:3x3", "9", "node 9 out of range [0, 9)"),
+])
+def test_drop_node_graph_error_is_usage_error(layout, node, message, capsys):
+    code, out, err = run_cli(["solve", "--layout", layout, "--drop-node", node,
+                              "--random", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bench_unknown_layout_fails_before_header(capsys):
+    code, out, err = run_cli(["bench", "--layout", "nope", "--qubits", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown layout 'nope'; known: melbourne15")
+
+
 def test_solve_timeout_exit_code(capsys):
     code, _, err = run_cli(["solve", "--layout", "grid:4x4", "--random", "6",
                             "--seed", "0", "--timeout", "1e-9"], capsys)

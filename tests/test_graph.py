@@ -51,8 +51,19 @@ def test_load_rejects_self_loop():
 
 
 def test_load_rejects_disconnected():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"unreachable nodes \[2, 3\]"):
         load_graph("nodes 4\nedge 0 1\nedge 2 3\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("nodes x\n", 1),
+    ("nodes 3\nedge 0 y\n", 2),
+    ("nodes 3\nedge 0.5 1\n", 2),
+    ("nodes 2\nedge 0 1\nnodes 3\n", 3),
+])
+def test_load_rejects_malformed_lines_with_line(text, lineno):
+    with pytest.raises(GraphError, match=f"^line {lineno}: "):
+        load_graph(text)
 
 
 def test_load_comments_and_blanks():

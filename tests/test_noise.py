@@ -174,7 +174,7 @@ def test_cost_product_form():
     total = sum(costs.movement_cost(i, j) for i, j in movements)
     product = 1.0
     for i, j in movements:
-        product *= 1.0 - split_cnot_error(emap.edge_error(i, j))
+        product *= 1.0 - split_cnot_error(emap.cnot_error[min(i, j), max(i, j)])
     assert math.exp(-total) == pytest.approx(product**3, rel=1e-10)
 
 
@@ -197,6 +197,16 @@ def test_load_error_map_rejects_malformed_numbers_with_line(line):
     text = save_error_map(uniform_error_map(build_grid(1, 2))) + line + "\n"
     lineno = text.count("\n")
     with pytest.raises(NoiseError, match=f"^line {lineno}: "):
+        load_error_map(text)
+
+
+@pytest.mark.parametrize("line, what", [("cnot 1 0 0.02", "cnot 0 1"),
+                                        ("decoherence 0 50 60", "decoherence 0"),
+                                        ("cnot_duration_ns 60", "cnot_duration_ns")])
+def test_load_error_map_rejects_repeated_lines_with_line(line, what):
+    text = save_error_map(uniform_error_map(build_grid(1, 2))) + line + "\n"
+    lineno = text.count("\n")
+    with pytest.raises(NoiseError, match=f"^line {lineno}: repeated {what}$"):
         load_error_map(text)
 
 

@@ -157,18 +157,28 @@ def single_team_cases():
 
 
 def test_single_team_bound_pinned(monkeypatch):
-    merged_depths = []
+    merged_depths, models = [], []
     build = route.model_at_depth
 
     def recorded(g_, inst_, costs, depth, *args):
         merged_depths.append(depth)
-        return build(g_, inst_, costs, depth, *args)
+        teg, model = build(g_, inst_, costs, depth, *args)
+        models.append(model)
+        return teg, model
     monkeypatch.setattr(route, "model_at_depth", recorded)
     for g, inst, bound in single_team_cases():
         merged_depths.clear()
         assert lower_bound_single_team(g, inst) == bound
         assert merged_depths[0] == lower_bound_matching(g, merge_teams(inst))
         assert merged_depths[-1] == bound
+    # the feasible_first depth does not depend on the costs, so the pins cannot
+    # see them: every merged model costs 1.0 per movement and 0.0 otherwise
+    for model in models:
+        kind, i, j = model.var_keys[:, 0], model.var_keys[:, 3], model.var_keys[:, 4]
+        moving = (kind == bilp.MOVE) & (i != j)
+        assert moving.any() and not moving.all()
+        assert (model.objective[moving] == 1.0).all()
+        assert (model.objective[~moving] == 0.0).all()
 
 
 @pytest.mark.parametrize("presolve", route.PRESOLVES)

@@ -169,7 +169,7 @@ def count_dropped(monkeypatch):
     drop = solver._LpRelaxation.drop
 
     def counted(lp, mask):
-        held = lp.n if lp.cols is None else len(lp.cols)
+        held = len(lp.cols)
         drop(lp, mask)
         counts.append(held - len(lp.cols))
     monkeypatch.setattr(solver._LpRelaxation, "drop", counted)
