@@ -13,6 +13,7 @@ import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -248,14 +249,10 @@ def cmd_bench(args):
                               args.seed))
     writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS)
     writer.writeheader()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for row in pool.map(_bench_one, tasks):
-                writer.writerow(row)
-                sys.stdout.flush()
-    else:
-        for task in tasks:
-            writer.writerow(_bench_one(task))
+    # --jobs 1 solves in this process and starts none
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        for row in (pool.map if pool else map)(_bench_one, tasks):
+            writer.writerow(row)
             sys.stdout.flush()
     return EXIT_OK
 

@@ -7,6 +7,7 @@ and connected; edges are stored as sorted ``(i, j)`` pairs with ``i < j``.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from importlib import resources
 
 
@@ -14,29 +15,36 @@ class GraphError(ValueError):
     """Raised for malformed or invalid hardware graphs."""
 
 
+@dataclass(frozen=True)
 class HardwareGraph:
     """Physical qubit layout: nodes are qubits, edges are two-qubit gate pairs.
 
-    Immutable after construction; safe to share across concurrent solver runs.
+    Frozen, so safe to share across concurrent solver runs.  ``edges`` may
+    come in any order and orientation and are kept canonical, so graphs with
+    the same node count and edge set are equal and hash equal.
     """
 
-    def __init__(self, node_count, edges):
+    node_count: int
+    edges: tuple
+    neighbors: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        node_count = self.node_count
         if node_count < 1:
             raise GraphError(f"node_count must be >= 1, got {node_count}")
         canonical = set()
-        for i, j in edges:
+        for i, j in self.edges:
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise GraphError(f"edge ({i}, {j}) out of range [0, {node_count})")
             canonical.add((min(i, j), max(i, j)))
-        self.node_count = node_count
-        self.edges = tuple(sorted(canonical))
+        object.__setattr__(self, "edges", tuple(sorted(canonical)))
         neighbors = [[] for _ in range(node_count)]
         for i, j in self.edges:
             neighbors[i].append(j)
             neighbors[j].append(i)
-        self.neighbors = tuple(tuple(sorted(ns)) for ns in neighbors)
+        object.__setattr__(self, "neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
         missing = [v for v, d in enumerate(distances_from_set(self, (0,))) if d < 0]
         if missing:
             raise GraphError(f"graph is disconnected; unreachable nodes {missing}")
@@ -44,17 +52,6 @@ class HardwareGraph:
     @property
     def edge_count(self):
         return len(self.edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, HardwareGraph):
-            return NotImplemented
-        return (self.node_count, self.edges) == (other.node_count, other.edges)
-
-    def __hash__(self):
-        return hash((self.node_count, self.edges))
-
-    def __repr__(self):
-        return f"HardwareGraph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
 def distances_from_set(g: HardwareGraph, sources) -> list[int]:

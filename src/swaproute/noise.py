@@ -92,11 +92,19 @@ class ErrorMap:
                     raise NoiseError(f"{name} values must be > 0, got {v}")
 
 
-def _truncated_draw(rng, draw, lo, hi):
+def _truncated_draw(rng, mean, sigma, lo, hi, log10=False):
+    """A Normal(mean, sigma) draw rejection-resampled into [lo, hi], or with
+    ``log10`` ``10**y`` for y ~ Normal(log10(mean), sigma); ``mean`` itself,
+    drawing nothing, when sigma is 0."""
     # Bounds are treated as inclusive except a zero lower bound, which the
     # positive-support draws never hit anyway.
+    loc = math.log10(mean) if log10 else mean
     for _ in range(_RESAMPLE_CAP):
-        v = draw(rng)
+        if sigma == 0.0:
+            v = mean
+        else:
+            v = rng.normal(loc, sigma)
+            v = 10.0 ** v if log10 else v
         if lo <= v <= hi:
             return v
     raise NoiseError(f"rejection sampling failed to hit bounds ({lo}, {hi}) "
@@ -110,28 +118,13 @@ def sample_error_map(g, params: NoiseParams, seed: int) -> ErrorMap:
     order, then T1 for nodes in index order, then T2 for nodes in index order.
     """
     rng = np.random.default_rng(seed)
-    mu = math.log10(params.cnot_mean)
-
-    def draw_cnot(r):
-        if params.cnot_log10_sigma == 0.0:
-            return params.cnot_mean
-        return 10.0 ** r.normal(mu, params.cnot_log10_sigma)
-
-    def draw_trunc_normal(mean, sigma):
-        def draw(r):
-            if sigma == 0.0:
-                return mean
-            return r.normal(mean, sigma)
-        return draw
-
-    cnot = {}
-    for edge in g.edges:
-        cnot[edge] = _truncated_draw(rng, draw_cnot, *params.cnot_bounds)
-    t1 = tuple(_truncated_draw(rng, draw_trunc_normal(params.t1_mean, params.t1_sigma),
-                               *params.t1_bounds)
+    p = params
+    cnot = {edge: _truncated_draw(rng, p.cnot_mean, p.cnot_log10_sigma, *p.cnot_bounds,
+                                  log10=True)
+            for edge in g.edges}
+    t1 = tuple(_truncated_draw(rng, p.t1_mean, p.t1_sigma, *p.t1_bounds)
                for _ in range(g.node_count))
-    t2 = tuple(_truncated_draw(rng, draw_trunc_normal(params.t2_mean, params.t2_sigma),
-                               *params.t2_bounds)
+    t2 = tuple(_truncated_draw(rng, p.t2_mean, p.t2_sigma, *p.t2_bounds)
                for _ in range(g.node_count))
     return ErrorMap(cnot_error=cnot, t1=t1, t2=t2)
 
@@ -234,8 +227,10 @@ def save_error_map(emap: ErrorMap) -> str:
 
 
 def load_error_map(text: str, g=None) -> ErrorMap:
-    """Parse the error-map text format; validates edge coverage against ``g`` if given."""
+    """Parse the error-map text format.  A ``cnot`` line must name two distinct
+    nodes and, given ``g``, one of its edges; every edge of ``g`` needs one."""
     values = {}  # ("cnot", i, j) with i < j, ("decoherence", v) or ("cnot_duration_ns",)
+    edges = None if g is None else set(g.edges)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -253,6 +248,10 @@ def load_error_map(text: str, g=None) -> ErrorMap:
                 raise ValueError
         except ValueError:
             raise NoiseError(f"line {lineno}: bad error-map line {raw!r}") from None
+        if key[0] == "cnot" and key[1] == key[2]:
+            raise NoiseError(f"line {lineno}: cnot on the self-pair {key[1]} {key[2]}")
+        if key[0] == "cnot" and edges is not None and key[1:] not in edges:
+            raise NoiseError(f"line {lineno}: cnot {key[1]} {key[2]} is not a graph edge")
         if key in values:
             raise NoiseError(f"line {lineno}: repeated {' '.join(map(str, key))}")
         values[key] = value

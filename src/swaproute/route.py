@@ -196,9 +196,10 @@ def _deepen(g, inst, cfg, costs):
     """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
+    budget = math.inf if cfg.timeout is None else cfg.timeout
 
     def remaining():
-        return None if cfg.timeout is None else cfg.timeout - (time.monotonic() - start)
+        return budget - (time.monotonic() - start)
 
     def result(status, found=None):
         fields = {}
@@ -239,8 +240,7 @@ def _deepen(g, inst, cfg, costs):
         return res.status, (teg, model, res)
 
     for depth in range(first, g.node_count ** 2 + 1):
-        rem = remaining()
-        if rem is not None and rem <= 0:
+        if remaining() <= 0:
             return result("timed_out")
         status, found = attempt(depth)
         if status != "infeasible":

@@ -20,11 +20,11 @@ call builds its LP only at the first node that leaves a variable free.  The
 relaxations are warm-started on scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core``, hence scipy >= 1.15): the call hands its
 CSR arrays once to the array overload of ``passModel`` and, at each node,
-changes only the column bounds of the fixings before re-solving from the
-previous basis.  A binding that is missing fails the import, and one whose
-``passModel`` takes no arrays raises ``SolverError``.  Under ``solve``'s
-``deadline`` argument each re-solve runs with a HiGHS time limit of the time
-left, and one that hits it ends the solve as ``deadline_exceeded``.
+sets the bounds of every column it holds in one call before re-solving from
+the previous basis.  A binding that is missing fails the import, and one whose
+``passModel`` takes no arrays raises ``SolverError``.  Each re-solve runs with
+a HiGHS time limit of the time left of ``solve``'s ``deadline`` (none without
+one), and one that hits it ends the solve as ``deadline_exceeded``.
 The HiGHS objects outlive their relaxations: ``solve`` hands its object,
 cleared of model, basis and options, to a per-process list of idle objects
 when it returns a result, and the next relaxation takes one from there
@@ -44,6 +44,7 @@ every node, and it is never undone, so each later re-solve is smaller.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -201,8 +202,9 @@ class _LpTimeLimit(Exception):
 class _LpRelaxation:
     """The LP relaxation of one model, kept alive in HiGHS for a whole search.
 
-    The model's CSR rows go to HiGHS as they are.  Each node changes only the
-    column bounds that differ from the previous node and re-solves with the
+    The model's CSR rows go to HiGHS as they are.  Each node sets the bounds
+    of every column HiGHS holds in one call, [v, v] where it fixes the
+    column to v and [0, 1] where it leaves it free, and re-solves with the
     dual simplex from the previous basis.  ``drop`` deletes columns from the
     HiGHS model for the rest of the search: from then on every relaxation
     holds them at 0, a node that fixes one of them to 1 is infeasible, and
@@ -215,8 +217,6 @@ class _LpRelaxation:
 
     def __init__(self, model):
         n = model.var_count
-        self.lb = np.zeros(n)
-        self.ub = np.ones(n)
         self.dropped = np.zeros(n, dtype=bool)  # the mask of model ordinals dropped
         self.cols = np.arange(n)  # the model ordinals HiGHS still holds, in its order
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
@@ -229,7 +229,7 @@ class _LpRelaxation:
         try:
             status = self.highs.passModel(
                 n, model.row_count, len(model.indices), _highs.MatrixFormat.kRowwise,
-                _highs.ObjSense.kMinimize, 0.0, model.objective, self.lb, self.ub,
+                _highs.ObjSense.kMinimize, 0.0, model.objective, np.zeros(n), np.ones(n),
                 np.where(model.eq, rhs, -np.inf), rhs, model.indptr, model.indices,
                 model.signs.astype(float), np.zeros(n, dtype=np.int32))
         except TypeError as exc:
@@ -254,10 +254,9 @@ class _LpRelaxation:
         if self.highs.deleteCols(at.size, at) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS could not delete LP columns")
         self.dropped[self.cols[at]] = True
-        keep = ~gone
-        self.cols, self.lb, self.ub = self.cols[keep], self.lb[keep], self.ub[keep]
+        self.cols = self.cols[~gone]
 
-    def bound(self, values, time_left=None):
+    def bound(self, values, time_left=math.inf):
         """Relaxation of the subproblem with ``values`` fixed (-1 = free) and
         the dropped columns at 0.
 
@@ -268,15 +267,10 @@ class _LpRelaxation:
         if (values[self.dropped] == 1).any():
             return None
         values = values[self.cols]
-        lb, ub = np.where(values == 1, 1.0, 0.0), np.where(values == 0, 0.0, 1.0)
-        changed = np.flatnonzero((lb != self.lb) | (ub != self.ub)).astype(np.int32)
-        if changed.size:
-            self.highs.changeColsBounds(changed.size, changed, lb[changed], ub[changed])
-            self.lb, self.ub = lb, ub
-        if time_left is not None:
-            # HiGHS holds the limit against its run time summed over every run
-            self.highs.setOptionValue("time_limit",
-                                      self.highs.getRunTime() + max(time_left, 0.0))
+        self.highs.changeColsBounds(values.size, np.arange(values.size, dtype=np.int32),
+                                    (values == 1).astype(float), (values != 0).astype(float))
+        # HiGHS holds the limit against its run time summed over every run
+        self.highs.setOptionValue("time_limit", self.highs.getRunTime() + max(time_left, 0.0))
         self.highs.run()
         status = self.highs.getModelStatus()
         # every column is boxed in [0, 1], so "unbounded or infeasible" is infeasible
@@ -303,7 +297,7 @@ def solve(model, cfg: SolverConfig | None = None,
           deadline: float | None = None) -> SolveResult:
     """Solve a routing BILP by branch and bound, within ``deadline`` seconds if given."""
     mode = (cfg or SolverConfig()).mode
-    stop_at = None if deadline is None else time.monotonic() + deadline
+    stop_at = time.monotonic() + (math.inf if deadline is None else deadline)
 
     c = model.objective
     if model.var_count == 0:
@@ -341,14 +335,11 @@ def solve(model, cfg: SolverConfig | None = None,
     floor, priced = None, np.inf
 
     while True:
-        if stop_at is not None and time.monotonic() > stop_at:
+        if time.monotonic() > stop_at:
             return result("deadline_exceeded")
         free = prop.values == -1
-        if float(c[prop.values == 1].sum()) >= inc_obj - _OBJ_TOL:
-            cand = None  # pruned by the committed cost (all costs are >= 0)
-        elif not free.any():
-            # the node is its own relaxation, and its bound, the fixed cost, survived the prune
-            cand = prop.values.copy()
+        if not free.any():
+            cand = prop.values.copy()  # the node is its own relaxation
         else:
             cand = None
             if lp is None:
@@ -360,8 +351,7 @@ def solve(model, cfg: SolverConfig | None = None,
                 lp.drop(floor >= inc_obj - _OBJ_TOL)
                 priced = inc_obj
             try:
-                relaxed = lp.bound(prop.values,
-                                   None if stop_at is None else stop_at - time.monotonic())
+                relaxed = lp.bound(prop.values, stop_at - time.monotonic())
             except _LpTimeLimit:
                 return result("deadline_exceeded")
             if relaxed is not None and relaxed[0] < inc_obj - _OBJ_TOL:

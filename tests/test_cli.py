@@ -51,6 +51,18 @@ def test_solve_noise_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("line", ["cnot 0 7 0.02", "cnot 1 1 0.03"])
+def test_noise_file_cnot_off_the_graph_is_usage_error(line, tmp_path, capsys):
+    f = tmp_path / "noise.txt"
+    text = save_error_map(uniform_error_map(build_grid(1, 2))) + line + "\n"
+    f.write_text(text)
+    lineno = text.count("\n")
+    code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--random", "1",
+                            "--noise", str(f)], capsys)
+    assert code == 2
+    assert f"line {lineno}: " in err
+
+
 @pytest.mark.parametrize("content", [None, b"\x89\xff"])  # missing, not UTF-8
 def test_unreadable_instance_is_usage_error(content, tmp_path, capsys):
     path = tmp_path / "inst.txt"

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from swaproute import graph
+from swaproute import graph, texpand
 from swaproute.graph import (GraphError, HardwareGraph, build_grid, build_layout,
                              distances_from_set, drop_node, load_graph, save_graph)
 
@@ -126,3 +128,13 @@ def test_constructor_rejects_bad_edges():
         HardwareGraph(2, [(0, 2)])
     with pytest.raises(GraphError):
         HardwareGraph(0, [])
+
+
+def test_graph_is_frozen_and_keyed_by_its_edge_set():
+    g = build_grid(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = ()
+    reordered = HardwareGraph(6, [(j, i) for i, j in reversed(g.edges)])
+    assert reordered == g and hash(reordered) == hash(g)
+    assert reordered.neighbors == g.neighbors
+    assert texpand.graph_tables(reordered) is texpand.graph_tables(g)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,43 @@ def test_sampling_deterministic():
     assert a == b
     c = sample_error_map(g, noise.HERON, 43)
     assert a != c
+
+
+# sha256 of save_error_map(sample_error_map(g, params, seed)) for seeds 0, 1 and 2;
+# a change to the sampler's draw order or arithmetic changes them
+SAMPLER_PINS = {
+    ("rochester53", "heron"): (
+        "304b98a46d24329790f11c92c3d2ffb32cbd36b3f005c83bf48f99bb3b74ef3d",
+        "ea801e3f83df8a0cc078cdea89feff08945821b344eb1c8173a8580593511cc7",
+        "eb5c66a77286ad9b1bb2bf9ea490926a948cdd07d33c81780753e76b5e0c8058"),
+    ("rochester53", "melbourne-style"): (
+        "b64bf6a436213f5a9df0127a7e168a028417b39c8d5e510109fca9e79d414d2e",
+        "0975d55383b94a14fbaa517fd80670e2983d4c73c68476e17da73f13a3a05cfa",
+        "92e20696e89cf24b82cd7dda6ace35e7e25c9345251661c3a93b1b3785b1474b"),
+    ("rochester53", "flat"): (
+        "1ddeb52754727b0e8b9bcc3a7a33efed2cf62a524fbfa93742a80018b6b6f402",) * 3,
+    ("grid:3x3", "heron"): (
+        "24f5987a21cfd3ac27303205454dee80972c834013f05fa586b022b0262c40df",
+        "54a1a9da7e3a5d3056355d6ef9bc73e369ae3cedd36e3e1d1d5b4627edde2af3",
+        "b1484521be0cf3eb766684a2f6385686df56ddf4ba305da895acc2335d1eecdb"),
+    ("grid:3x3", "melbourne-style"): (
+        "a19a2098200d9eb0b9bfabbd7f1499418ef0a87293f9458c38e58f16322a6483",
+        "35a83091a5a70040ba594fefd3cc812d2e2dd6402e4eff134a18cbf3f885d5ce",
+        "00cc983ee1466ee40520be79f2604057380638e74f38e139f688b6f1bd477be2"),
+    ("grid:3x3", "flat"): (
+        "b308c2093a01b5d4bdb2d789792d5f9629380151bf696f047fe1b9f9670e2d03",) * 3,
+}
+
+
+@pytest.mark.parametrize("layout, preset", sorted(SAMPLER_PINS))
+def test_sampled_error_map_bytes_pinned(layout, preset):
+    """``flat`` has every sigma at 0, so each draw is its mean whatever the seed."""
+    params = noise.PRESETS.get(preset) or NoiseParams(cnot_log10_sigma=0.0, t1_sigma=0.0,
+                                                      t2_sigma=0.0)
+    g = build_layout(layout)
+    digests = tuple(hashlib.sha256(save_error_map(sample_error_map(g, params, seed))
+                                   .encode()).hexdigest() for seed in range(3))
+    assert digests == SAMPLER_PINS[layout, preset]
 
 
 def test_sampled_values_within_bounds():
@@ -208,6 +246,18 @@ def test_load_error_map_rejects_repeated_lines_with_line(line, what):
     lineno = text.count("\n")
     with pytest.raises(NoiseError, match=f"^line {lineno}: repeated {what}$"):
         load_error_map(text)
+
+
+@pytest.mark.parametrize("line, on_graph, what", [
+    ("cnot 1 1 0.03", False, "cnot on the self-pair 1 1"),
+    ("cnot 1 1 0.03", True, "cnot on the self-pair 1 1"),
+    ("cnot 7 0 0.02", True, "cnot 0 7 is not a graph edge")])
+def test_load_error_map_rejects_cnot_off_the_graph_with_line(line, on_graph, what):
+    g = build_grid(1, 2)
+    text = save_error_map(uniform_error_map(g)) + line + "\n"
+    lineno = text.count("\n")
+    with pytest.raises(NoiseError, match=f"^line {lineno}: {what}$"):
+        load_error_map(text, g if on_graph else None)
 
 
 def test_load_error_map_rejects_mismatched_graph():

@@ -263,7 +263,9 @@ def check_dive(model, drop):
     """With ``drop``, three fractional root columns and a third of the root
     zeros outside the dive leave HiGHS at the root, and another third at
     step 5; the bounds must then match a cold LP with those columns held at
-    0, and ``x`` must be 0 on them."""
+    0, and ``x`` must be 0 on them.  The dive then backtracks as the search
+    does, to earlier nodes at once, which frees fixings to 0 and to 1
+    together."""
     lp = solver._LpRelaxation(model)
     values = np.full(model.var_count, -1, dtype=np.int8)
     dropped = np.zeros(model.var_count, dtype=bool)
@@ -292,7 +294,19 @@ def check_dive(model, drop):
         warm = lp.bound(values)
         assert warm[0] == pytest.approx(cold_relaxation(model, values, dropped), rel=0, abs=1e-9)
         assert warm[0] > root[0] + 1e-6 and not warm[1][dropped].any()
+
+    def cold_bound():
+        """The cold bound of the node ``values``, after checking the warm one against it."""
+        warm, cold = lp.bound(values), cold_relaxation(model, values, dropped)
+        if cold is None:
+            assert warm is None
+        else:
+            assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
+            assert not warm[1][dropped].any()
+        return cold
+
     infeasible = 0
+    snapshots = [values.copy()]  # the root, then the nodes after steps 2 and 7
     for step in range(20):
         if step == 5 and drop:
             drop_columns(zeros[21::3])
@@ -304,14 +318,19 @@ def check_dive(model, drop):
             values[ones[step]] = 1
         else:
             values[zeros[step]] = 0
-        warm, cold = lp.bound(values), cold_relaxation(model, values, dropped)
-        if cold is None:
-            assert warm is None
-            infeasible += 1
-        else:
-            assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
-            assert not warm[1][dropped].any()
+        infeasible += cold_bound() is None
+        if step in (2, 7):
+            snapshots.append(values.copy())
     assert infeasible == 1
+    # backtracking: three root ones fixed to 0 move the bound (or close the
+    # node), and a jump back to an earlier node frees them together with the
+    # dive's other fixings, to 0 and to 1
+    for snapshot in snapshots[::-1]:
+        values[ones[20:23]] = 0
+        zeroed = cold_bound()
+        values[:] = snapshot
+        back = cold_bound()
+        assert back is not None and (zeroed is None or zeroed > back + 1e-6)
     if drop:
         # a node that fixes a dropped column to 1 is infeasible
         values[np.flatnonzero(dropped)[0]] = 1
