@@ -214,8 +214,3 @@ def _row_keys(keep, blocks):
             block[:, c] = col
         keys.append(block)
     return np.concatenate(keys)
-
-
-def count_stats(model: BilpModel) -> dict:
-    """Exact variable/row/nonzero counts."""
-    return {"vars": model.var_count, "rows": model.row_count, "nonzeros": len(model.indices)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -142,9 +143,8 @@ def cmd_solve(args):
         inst = inst_mod.load_instance(_file_text(args.instance))
     else:
         inst = inst_mod.random_instance(g, args.random, args.team_mode, args.seed)
-    if args.flexible and not inst.flexible:
-        inst = inst_mod.MqpfInstance(sources=inst.sources,
-                                     destinations=inst.destinations, flexible=True)
+    if args.flexible:
+        inst = dataclasses.replace(inst, flexible=True)
     violations = inst_mod.validate(g, inst)
     if violations:
         raise UsageError("invalid instance: " + "; ".join(violations))
@@ -204,22 +204,21 @@ def _bench_seeds(base_seed, n_qubits, idx):
 
 
 def _bench_one(task):
-    (layout, n_qubits, idx, team_mode, mode_cli, error_model, timeout,
-     preset, base_seed) = task
-    g = graph.build_layout(layout)
-    instance_seed, noise_seed = _bench_seeds(base_seed, n_qubits, idx)
-    inst = inst_mod.random_instance(g, n_qubits, team_mode, instance_seed)
-    emap = noise.sample_error_map(g, noise.PRESETS[preset], noise_seed)
+    args, n_qubits, idx, mode_cli = task
+    g = graph.build_layout(args.layout)
+    instance_seed, noise_seed = _bench_seeds(args.seed, n_qubits, idx)
+    inst = inst_mod.random_instance(g, n_qubits, args.team_mode, instance_seed)
+    emap = noise.sample_error_map(g, noise.PRESETS[args.noise_preset], noise_seed)
     cfg = route.RouteConfig(
         solver=solver.SolverConfig(mode=_MODE_NAMES[mode_cli]),
-        error_model=error_model, timeout=timeout)
+        error_model=args.error_model, timeout=args.timeout)
     t0 = time.monotonic()
     sol = route.solve_mqpf(g, emap, inst, cfg)
     runtime_ms = (time.monotonic() - t0) * 1e3
     row = {c: "" for c in BENCH_COLUMNS}
-    row.update(layout=layout, n_qubits=n_qubits, team_mode=team_mode,
+    row.update(layout=args.layout, n_qubits=n_qubits, team_mode=args.team_mode,
                instance_seed=instance_seed, noise_seed=noise_seed,
-               solver_mode=mode_cli, error_model=error_model, status=sol.status,
+               solver_mode=mode_cli, error_model=args.error_model, status=sol.status,
                runtime_ms=f"{runtime_ms:.1f}", presolve_bound=sol.presolve_bound)
     if sol.solved:
         row.update(depth=sol.depth, swap_count=sol.swap_count,
@@ -240,13 +239,8 @@ def cmd_bench(args):
     if max(args.qubits) > node_count:
         raise UsageError(f"--qubits {max(args.qubits)} exceeds the {node_count} nodes "
                          f"of {args.layout}")
-    tasks = []
-    for n_qubits in args.qubits:
-        for idx in range(args.instances):
-            for mode_cli in modes:
-                tasks.append((args.layout, n_qubits, idx, args.team_mode, mode_cli,
-                              args.error_model, args.timeout, args.noise_preset,
-                              args.seed))
+    tasks = [(args, n_qubits, idx, mode_cli) for n_qubits in args.qubits
+             for idx in range(args.instances) for mode_cli in modes]
     writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS)
     writer.writeheader()
     # --jobs 1 solves in this process and starts none

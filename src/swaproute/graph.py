@@ -15,6 +15,13 @@ class GraphError(ValueError):
     """Raised for malformed or invalid hardware graphs."""
 
 
+def _check_edge(i, j, node_count):
+    if i == j:
+        raise GraphError(f"self-loop at node {i}")
+    if not (0 <= i < node_count and 0 <= j < node_count):
+        raise GraphError(f"edge ({i}, {j}) out of range [0, {node_count})")
+
+
 @dataclass(frozen=True)
 class HardwareGraph:
     """Physical qubit layout: nodes are qubits, edges are two-qubit gate pairs.
@@ -34,10 +41,7 @@ class HardwareGraph:
             raise GraphError(f"node_count must be >= 1, got {node_count}")
         canonical = set()
         for i, j in self.edges:
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise GraphError(f"edge ({i}, {j}) out of range [0, {node_count})")
+            _check_edge(i, j, node_count)
             canonical.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
         neighbors = [[] for _ in range(node_count)]
@@ -138,7 +142,7 @@ def _line_int(text, lineno):
 def load_graph(text: str) -> HardwareGraph:
     """Parse the line-oriented graph format: ``nodes <n>`` then ``edge <i> <j>`` lines."""
     node_count = None
-    edges = []
+    edges = []  # (lineno, i, j)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,12 +154,19 @@ def load_graph(text: str) -> HardwareGraph:
             if node_count is not None:
                 raise GraphError(f"line {lineno}: repeated nodes line")
             node_count = _line_int(parts[1], lineno)
+            if node_count < 1:
+                raise GraphError(f"line {lineno}: node_count must be >= 1, got {node_count}")
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'edge <i> <j>'")
-            edges.append((_line_int(parts[1], lineno), _line_int(parts[2], lineno)))
+            edges.append((lineno, _line_int(parts[1], lineno), _line_int(parts[2], lineno)))
         else:
             raise GraphError(f"line {lineno}: unknown directive {parts[0]!r}")
     if node_count is None:
         raise GraphError("missing 'nodes <n>' header")
-    return HardwareGraph(node_count, edges)
+    for lineno, i, j in edges:
+        try:
+            _check_edge(i, j, node_count)
+        except GraphError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from None
+    return HardwareGraph(node_count, [(i, j) for _, i, j in edges])

@@ -83,13 +83,17 @@ class ErrorMap:
     cnot_duration: float = DEFAULT_CNOT_DURATION  # seconds
 
     def __post_init__(self):
-        for edge, e in self.cnot_error.items():
-            if not (0.0 < e < 1.0):
-                raise NoiseError(f"cnot error on edge {edge} must be in (0, 1), got {e}")
-        for name, vals in (("t1", self.t1), ("t2", self.t2)):
-            for v in vals:
-                if v <= 0:
-                    raise NoiseError(f"{name} values must be > 0, got {v}")
+        _check_values(self.cnot_error, self.t1, self.t2)
+
+
+def _check_values(cnot_error, t1, t2):
+    for edge, e in cnot_error.items():
+        if not (0.0 < e < 1.0):
+            raise NoiseError(f"cnot error on edge {edge} must be in (0, 1), got {e}")
+    for name, vals in (("t1", t1), ("t2", t2)):
+        for v in vals:
+            if v <= 0:
+                raise NoiseError(f"{name} values must be > 0, got {v}")
 
 
 def _truncated_draw(rng, mean, sigma, lo, hi, log10=False):
@@ -164,8 +168,9 @@ ERROR_MODELS = ("simple", "extended")
 class MovementCosts:
     """Per-movement objective costs over a hardware graph.
 
-    ``move[(i, j)]`` is the cost of a directed swap movement i -> j;
-    ``idle[i]`` the cost of idling at node i for one timestep.
+    One table, ``cost``: ``cost[(i, j)]`` is the cost of the directed swap
+    movement i -> j and ``cost[(v, v)]`` that of idling at node v for one
+    timestep.
 
     Simple model: the full SWAP cost ``-3 ln(1 - eps)`` sits on the low-to-high
     direction of each edge, zero on the reverse, so a swapped pair (which uses
@@ -175,37 +180,28 @@ class MovementCosts:
     """
 
     model: str
-    move: dict = field(repr=False)
-    idle: tuple = field(repr=False)
+    cost: dict = field(repr=False)
 
     def movement_cost(self, i: int, j: int) -> float:
         """Cost of the movement i -> j (idle when i == j)."""
-        if i == j:
-            return self.idle[i]
-        return self.move[(i, j)]
+        return self.cost[(i, j)]
 
 
 def movement_costs(g, emap: ErrorMap, model: str = "simple") -> MovementCosts:
     """Build the per-movement cost table for an error model."""
     if model not in ERROR_MODELS:
         raise NoiseError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
-    move = {}
-    if model == "simple":
-        for i, j in g.edges:
-            move[(i, j)] = -3.0 * math.log1p(-emap.cnot_error[(i, j)])
-            move[(j, i)] = 0.0
-        idle = (0.0,) * g.node_count
-    else:
-        for i, j in g.edges:
-            ev = split_cnot_error(emap.cnot_error[(i, j)])
-            cost = -3.0 * math.log1p(-ev)
-            move[(i, j)] = cost
-            move[(j, i)] = cost
-        idle = tuple(
-            -3.0 * math.log1p(-idle_error(emap.t1[v], emap.t2[v], emap.cnot_duration))
-            for v in range(g.node_count)
-        )
-    return MovementCosts(model=model, move=move, idle=idle)
+    cost = {}
+    for i, j in g.edges:
+        e = emap.cnot_error[(i, j)]
+        if model == "simple":
+            cost[(i, j)], cost[(j, i)] = -3.0 * math.log1p(-e), 0.0
+        else:
+            cost[(i, j)] = cost[(j, i)] = -3.0 * math.log1p(-split_cnot_error(e))
+    for v in range(g.node_count):
+        cost[(v, v)] = 0.0 if model == "simple" else -3.0 * math.log1p(
+            -idle_error(emap.t1[v], emap.t2[v], emap.cnot_duration))
+    return MovementCosts(model=model, cost=cost)
 
 
 def accumulated_error(cost: float) -> tuple[float, float]:
@@ -228,8 +224,10 @@ def save_error_map(emap: ErrorMap) -> str:
 
 def load_error_map(text: str, g=None) -> ErrorMap:
     """Parse the error-map text format.  A ``cnot`` line must name two distinct
-    nodes and, given ``g``, one of its edges; every edge of ``g`` needs one."""
+    nodes of the ``decoherence`` lines and, given ``g``, one of its edges;
+    every edge of ``g`` needs one."""
     values = {}  # ("cnot", i, j) with i < j, ("decoherence", v) or ("cnot_duration_ns",)
+    line_of = {}  # the same keys -> line number
     edges = None if g is None else set(g.edges)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -254,7 +252,14 @@ def load_error_map(text: str, g=None) -> ErrorMap:
             raise NoiseError(f"line {lineno}: cnot {key[1]} {key[2]} is not a graph edge")
         if key in values:
             raise NoiseError(f"line {lineno}: repeated {' '.join(map(str, key))}")
-        values[key] = value
+        try:
+            if key[0] == "cnot":
+                _check_values({key[1:]: value}, (), ())
+            elif key[0] == "decoherence":
+                _check_values({}, value[:1], value[1:])
+        except NoiseError as exc:
+            raise NoiseError(f"line {lineno}: {exc}") from None
+        values[key], line_of[key] = value, lineno
     cnot = {key[1:]: e for key, e in values.items() if key[0] == "cnot"}
     deco = {key[1]: tt for key, tt in values.items() if key[0] == "decoherence"}
     duration = values.get(("cnot_duration_ns",), DEFAULT_CNOT_DURATION)
@@ -263,6 +268,10 @@ def load_error_map(text: str, g=None) -> ErrorMap:
     n = max(deco) + 1
     if sorted(deco) != list(range(n)):
         raise NoiseError("decoherence lines must cover nodes 0..n-1")
+    for i, j in cnot:
+        if i < 0 or j >= n:
+            raise NoiseError(f"line {line_of['cnot', i, j]}: cnot {i} {j} is not among "
+                             f"the decoherence nodes 0..{n - 1}")
     if g is not None:
         missing = set(g.edges) - set(cnot)
         if missing or n != g.node_count:

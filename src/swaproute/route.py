@@ -145,8 +145,8 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     relaxed = merge_teams(inst)
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=SolverConfig(mode="feasible_first"))
-    unit = {m: 1.0 for i, j in g.edges for m in ((i, j), (j, i))}
-    sol = _deepen(g, relaxed, sub, MovementCosts("simple", unit, (0.0,) * g.node_count))
+    unit = {(i, j): float(i != j) for i, j in texpand.graph_tables(g).moves}
+    sol = _deepen(g, relaxed, sub, MovementCosts("simple", unit))
     if not sol.solved:
         raise PresolveIncomplete(sol.status)
     return sol.depth

@@ -26,9 +26,9 @@ the previous basis.  A binding that is missing fails the import, and one whose
 a HiGHS time limit of the time left of ``solve``'s ``deadline`` (none without
 one), and one that hits it ends the solve as ``deadline_exceeded``.
 The HiGHS objects outlive their relaxations: ``solve`` hands its object,
-cleared of model, basis and options, to a per-process list of idle objects
-when it returns a result, and the next relaxation takes one from there
-instead of constructing its own.  A relaxation built anywhere else, or one
+its model and basis cleared with ``clearModel`` and its options kept, to a
+per-process list of idle objects when it returns a result, and the next
+relaxation takes one from there instead of constructing its own.  A relaxation built anywhere else, or one
 whose solve raises, is dropped with its object.
 
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
@@ -144,20 +144,16 @@ class _Propagator:
             hi[ri] -= step
 
     def _fix(self, v, val, queue):
-        cur = self.values[v]
-        if cur != -1:
-            return cur == val
+        """Fixes the free variable v to ``val`` and queues its rows."""
         self.values[v] = val
         self.trail.append(v)
         self._count(v, val, 1)
         queue.extend(self.var_rows[self.at[2 * v]:self.at[2 * v + 2]])
-        return True
 
     def assign(self, v, val):
-        """Fix a variable and propagate to a fixpoint.  Returns False on conflict."""
+        """Fix a free variable and propagate to a fixpoint.  Returns False on conflict."""
         queue = []
-        if not self._fix(v, val, queue):
-            return False
+        self._fix(v, val, queue)
         return self._propagate(queue)
 
     def propagate_all(self):
@@ -185,14 +181,10 @@ class _Propagator:
         return True
 
 
-# idle HiGHS objects, cleared and set up as a fresh one; list.pop and
-# list.append are atomic, so threads that solve at once never share one
+# idle HiGHS objects, with no model (``clearModel``) and the options a new one
+# gets; list.pop and list.append are atomic, so threads that solve at once
+# never share one
 _IDLE_HIGHS = []
-
-
-def _set_options(highs):
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
 
 
 class _LpTimeLimit(Exception):
@@ -208,24 +200,24 @@ class _LpRelaxation:
     dual simplex from the previous basis.  ``drop`` deletes columns from the
     HiGHS model for the rest of the search: from then on every relaxation
     holds them at 0, a node that fixes one of them to 1 is infeasible, and
-    no deletion is ever undone.  ``bound`` gathers the fixings through
-    ``cols``, the model ordinals of the columns HiGHS holds, and scatters
-    the solution back, with zeros at the dropped columns.  The HiGHS object
-    comes from the idle list when it holds one, and ``release`` gives it
-    back there.
+    no deletion is ever undone.  ``held`` masks the model ordinals HiGHS
+    still holds, in order, since deletion keeps the rest in order: ``bound``
+    gathers the fixings through it and scatters the solution back, with
+    zeros at the dropped columns.  The HiGHS object comes from the idle list
+    when it holds one, and ``release`` gives it back there.
     """
 
     def __init__(self, model):
         n = model.var_count
-        self.dropped = np.zeros(n, dtype=bool)  # the mask of model ordinals dropped
-        self.cols = np.arange(n)  # the model ordinals HiGHS still holds, in its order
+        self.held = np.ones(n, dtype=bool)
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
         try:
             self.highs = _IDLE_HIGHS.pop()
         except IndexError:
             self.highs = _highs._Highs()
-            _set_options(self.highs)
+            self.highs.setOptionValue("output_flag", False)
+            self.highs.setOptionValue("presolve", "off")
         try:
             status = self.highs.passModel(
                 n, model.row_count, len(model.indices), _highs.MatrixFormat.kRowwise,
@@ -238,23 +230,22 @@ class _LpRelaxation:
             raise SolverError("HiGHS rejected the LP relaxation")
 
     def release(self):
-        """Clears the HiGHS object, time limit included, and hands it to the
-        idle list.  The relaxation cannot be used afterwards."""
+        """Clears the HiGHS object's model and basis (``clearModel``; the
+        options stay) and hands it to the idle list.  The relaxation cannot be
+        used afterwards."""
         highs, self.highs = self.highs, None
-        highs.clear()
-        _set_options(highs)
+        highs.clearModel()
         _IDLE_HIGHS.append(highs)
 
     def drop(self, mask):
         """Deletes the columns of the model ordinals in ``mask`` from HiGHS."""
-        gone = mask[self.cols]
+        gone = mask[self.held]
         if not gone.any():
             return
         at = np.flatnonzero(gone).astype(np.int32)
         if self.highs.deleteCols(at.size, at) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS could not delete LP columns")
-        self.dropped[self.cols[at]] = True
-        self.cols = self.cols[~gone]
+        self.held &= ~mask
 
     def bound(self, values, time_left=math.inf):
         """Relaxation of the subproblem with ``values`` fixed (-1 = free) and
@@ -264,9 +255,9 @@ class _LpRelaxation:
         Raises ``_LpTimeLimit`` when the solve takes longer than
         ``time_left`` seconds.
         """
-        if (values[self.dropped] == 1).any():
+        if (values[~self.held] == 1).any():
             return None
-        values = values[self.cols]
+        values = values[self.held]
         self.highs.changeColsBounds(values.size, np.arange(values.size, dtype=np.int32),
                                     (values == 1).astype(float), (values != 0).astype(float))
         # HiGHS holds the limit against its run time summed over every run
@@ -282,8 +273,8 @@ class _LpRelaxation:
         if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError("LP relaxation failed: "
                               + self.highs.modelStatusToString(status))
-        x = np.zeros(self.dropped.size)
-        x[self.cols] = self.highs.getSolution().col_value
+        x = np.zeros(self.held.size)
+        x[self.held] = self.highs.getSolution().col_value
         return self.highs.getObjectiveValue(), x
 
 
@@ -300,10 +291,6 @@ def solve(model, cfg: SolverConfig | None = None,
     stop_at = time.monotonic() + (math.inf if deadline is None else deadline)
 
     c = model.objective
-    if model.var_count == 0:
-        return SolveResult(status="optimal", assignment=np.zeros(0, dtype=np.int8),
-                           objective=0.0, best_bound=0.0, nodes=1)
-
     prop = _Propagator(model)
     incumbent = None
     inc_obj = np.inf

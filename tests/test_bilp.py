@@ -93,14 +93,6 @@ def test_objective_simple_swap_cost():
     assert model.objective[v] == pytest.approx(-3.0 * math.log(0.999), abs=1e-15)
 
 
-def test_count_stats():
-    model = one_swap_model()
-    stats = bilp.count_stats(model)
-    assert stats["vars"] == 6
-    assert stats["rows"] == len(model.rows)
-    assert stats["nonzeros"] == sum(len(r.plus) + len(r.minus) for r in model.rows)
-
-
 def test_trimmed_no_larger():
     full = one_swap_model(trim=False)
     trimmed = one_swap_model(trim=True)

@@ -63,6 +63,15 @@ def test_noise_file_cnot_off_the_graph_is_usage_error(line, tmp_path, capsys):
     assert f"line {lineno}: " in err
 
 
+def test_noise_file_bad_cnot_error_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "noise.txt"
+    f.write_text("cnot 0 1 1.5\ndecoherence 0 100 100\ndecoherence 1 100 100\n")
+    code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--random", "1",
+                            "--noise", str(f)], capsys)
+    assert code == 2
+    assert "error: line 1: cnot error on edge (0, 1) must be in (0, 1), got 1.5" in err
+
+
 @pytest.mark.parametrize("content", [None, b"\x89\xff"])  # missing, not UTF-8
 def test_unreadable_instance_is_usage_error(content, tmp_path, capsys):
     path = tmp_path / "inst.txt"

@@ -68,6 +68,17 @@ def test_load_rejects_malformed_lines_with_line(text, lineno):
         load_graph(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nodes 2\nedge 0 2\n", r"line 2: edge \(0, 2\) out of range \[0, 2\)"),
+    ("edge 0 2\nnodes 2\n", r"line 1: edge \(0, 2\) out of range \[0, 2\)"),
+    ("nodes 0\n", "line 1: node_count must be >= 1, got 0"),
+    ("nodes 3\nedge 0 1\nedge 1 1\n", "line 3: self-loop at node 1"),
+])
+def test_load_rejects_bad_values_with_line(text, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        load_graph(text)
+
+
 def test_load_comments_and_blanks():
     g = load_graph("# a comment\nnodes 2\n\nedge 0 1  # trailing\n")
     assert g.edge_count == 1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from swaproute import noise
+from swaproute import noise, texpand
 from swaproute.graph import build_grid, build_layout
 from swaproute.noise import (ErrorMap, NoiseError, NoiseParams, accumulated_error,
                              idle_error, load_error_map, movement_costs,
@@ -184,6 +184,36 @@ def test_movement_costs_extended_idle():
     assert costs.movement_cost(0, 0) == pytest.approx(expect, abs=1e-15)
 
 
+# sha256 of the repr of [movement_cost(i, j) for (i, j) in graph_tables(g).moves]
+# on HERON error maps of seeds 0 and 1; a change to any cost's arithmetic changes them
+COST_PINS = {
+    ("rochester53", "simple"): (
+        "ae59ea814d89298bfafef4e9f1e2219b95ee84d4ef1675571147ffd0bbf9f643",
+        "65327788a53c5a083a0825d4f8e65f2f943dc6feb3c05a13e0e7ccb9dd9b8c78"),
+    ("rochester53", "extended"): (
+        "c257dc9aaaccb61e09798d47b8f943ab1f8378f54517940ed36534f6baa2ec7d",
+        "f0c17fdb84bb6d75d6173f1abcb8c7821ce7dd93d07f9cdb174b4ff9db9e5c2e"),
+    ("grid:3x3", "simple"): (
+        "f3f9d3eb4dd5a04e7a51411e59a2aee8d797e75163e2a264bcfa1df71f8c088c",
+        "8d2a32313a1ce7d6cdeb03b6556c95d5c9f5a336dd0032f66ae65ded58c13415"),
+    ("grid:3x3", "extended"): (
+        "5bf37758aeecfd4e9c6412743553f6ae161aa2eef854d433c847555a2b5aa00a",
+        "79def3744d2936d8c923d1ab3b91e271e402768ba40a48a8ff6eb7acabc1ef08"),
+}
+
+
+@pytest.mark.parametrize("layout, model", sorted(COST_PINS))
+def test_movement_costs_pinned(layout, model):
+    g = build_layout(layout)
+    moves = texpand.graph_tables(g).moves
+    digests = []
+    for seed in range(2):
+        costs = movement_costs(g, sample_error_map(g, noise.HERON, seed), model)
+        text = repr([costs.movement_cost(i, j) for i, j in moves])
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(digests) == COST_PINS[layout, model]
+
+
 def test_accumulated_error():
     assert accumulated_error(0.0) == (0.0, 1.0)
     err, fid = accumulated_error(-3.0 * math.log(0.999))
@@ -251,13 +281,28 @@ def test_load_error_map_rejects_repeated_lines_with_line(line, what):
 @pytest.mark.parametrize("line, on_graph, what", [
     ("cnot 1 1 0.03", False, "cnot on the self-pair 1 1"),
     ("cnot 1 1 0.03", True, "cnot on the self-pair 1 1"),
-    ("cnot 7 0 0.02", True, "cnot 0 7 is not a graph edge")])
+    ("cnot 7 0 0.02", True, "cnot 0 7 is not a graph edge"),
+    ("cnot 0 7 0.02", False, r"cnot 0 7 is not among the decoherence nodes 0\.\.1"),
+    ("cnot -1 0 0.02", False, r"cnot -1 0 is not among the decoherence nodes 0\.\.1")])
 def test_load_error_map_rejects_cnot_off_the_graph_with_line(line, on_graph, what):
     g = build_grid(1, 2)
     text = save_error_map(uniform_error_map(g)) + line + "\n"
     lineno = text.count("\n")
     with pytest.raises(NoiseError, match=f"^line {lineno}: {what}$"):
         load_error_map(text, g if on_graph else None)
+
+
+@pytest.mark.parametrize("on_graph", [False, True])
+@pytest.mark.parametrize("text, lineno, what", [
+    ("cnot 0 1 1.5\ndecoherence 0 100 100\ndecoherence 1 100 100\n", 1,
+     r"cnot error on edge \(0, 1\) must be in \(0, 1\), got 1\.5"),
+    ("cnot 0 1 0.01\ndecoherence 0 -5 100\ndecoherence 1 100 100\n", 2,
+     r"t1 values must be > 0, got -5\.0"),
+    ("cnot 0 1 0.01\ndecoherence 0 100 100\n\ndecoherence 1 100 0\n", 4,
+     r"t2 values must be > 0, got 0\.0")])
+def test_load_error_map_rejects_bad_values_with_line(text, lineno, what, on_graph):
+    with pytest.raises(NoiseError, match=f"^line {lineno}: {what}$"):
+        load_error_map(text, build_grid(1, 2) if on_graph else None)
 
 
 def test_load_error_map_rejects_mismatched_graph():

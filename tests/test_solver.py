@@ -77,6 +77,14 @@ def test_infeasible_toy():
     assert solve(model).status == "infeasible"
 
 
+
+def test_empty_model_solves_at_the_root():
+    res = solve(toy_model([], []))
+    assert (res.status, res.objective, res.best_bound, res.gap, res.nodes) == (
+        "optimal", 0.0, 0.0, None, 1)
+    assert res.assignment.dtype == np.int8 and res.assignment.shape == (0,)
+
+
 def test_propagator_matches_brute_force():
     """Root propagation, then every ``assign``/``undo_to`` of a full search
     tree, on random rows of +1 and -1 entries in shuffled order, checked
@@ -169,9 +177,9 @@ def count_dropped(monkeypatch):
     drop = solver._LpRelaxation.drop
 
     def counted(lp, mask):
-        held = len(lp.cols)
+        held = int(lp.held.sum())
         drop(lp, mask)
-        counts.append(held - len(lp.cols))
+        counts.append(held - int(lp.held.sum()))
     monkeypatch.setattr(solver._LpRelaxation, "drop", counted)
     return counts
 
@@ -525,7 +533,8 @@ def test_reused_highs_leaves_no_trace(monkeypatch):
                   lambda self, values, time_left: bound(self, values, 0.0))
         assert solve(desk, deadline=60.0).status == "deadline_exceeded"
     [highs] = pool
-    assert highs.getOptionValue("time_limit")[1] == math.inf
+    assert highs.getOptionValue("output_flag")[1] is False
+    assert highs.getOptionValue("presolve")[1] == "off"
     dropped = count_dropped(monkeypatch)
     assert solve(dropping).status == "optimal" and sum(dropped) > 0
     calls = count_lp_builds(monkeypatch)
@@ -534,7 +543,8 @@ def test_reused_highs_leaves_no_trace(monkeypatch):
     for model, want in zip((desk, toy), fresh):
         assert outcome(solve(model)) == want
     assert len(pool) == 1 and pool[0] is highs
-    assert highs.getOptionValue("time_limit")[1] == math.inf
+    assert highs.getOptionValue("output_flag")[1] is False
+    assert highs.getOptionValue("presolve")[1] == "off"
 
 
 # scipy.optimize.milp optima of criterion-10 seeds (8x8 grid, 8 qubits, HERON
