@@ -83,17 +83,20 @@ class ErrorMap:
     cnot_duration: float = DEFAULT_CNOT_DURATION  # seconds
 
     def __post_init__(self):
-        _check_values(self.cnot_error, self.t1, self.t2)
+        _check_values(self.cnot_error, self.t1, self.t2, self.cnot_duration)
 
 
-def _check_values(cnot_error, t1, t2):
+def _check_values(cnot_error, t1, t2, cnot_duration=0.0):
+    """Raises ``NoiseError`` on the first value out of range; NaN is out of every range."""
     for edge, e in cnot_error.items():
         if not (0.0 < e < 1.0):
             raise NoiseError(f"cnot error on edge {edge} must be in (0, 1), got {e}")
     for name, vals in (("t1", t1), ("t2", t2)):
         for v in vals:
-            if v <= 0:
+            if not v > 0:
                 raise NoiseError(f"{name} values must be > 0, got {v}")
+    if not cnot_duration >= 0:
+        raise NoiseError(f"cnot duration must be >= 0 seconds, got {cnot_duration}")
 
 
 def _truncated_draw(rng, mean, sigma, lo, hi, log10=False):
@@ -257,6 +260,8 @@ def load_error_map(text: str, g=None) -> ErrorMap:
                 _check_values({key[1:]: value}, (), ())
             elif key[0] == "decoherence":
                 _check_values({}, value[:1], value[1:])
+            else:
+                _check_values({}, (), (), value)
         except NoiseError as exc:
             raise NoiseError(f"line {lineno}: {exc}") from None
         values[key], line_of[key] = value, lineno

@@ -43,6 +43,8 @@ class RouteConfig:
             raise RouteError(f"unknown presolve {self.presolve!r}; expected one of {PRESOLVES}")
         if self.depth_slack < 0:
             raise RouteError("depth_slack must be >= 0")
+        if self.timeout is not None and math.isnan(self.timeout):
+            raise RouteError("timeout must be a number of seconds, got nan")
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,25 @@ relaxations are warm-started on scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core``, hence scipy >= 1.15): the call hands its
 CSR arrays once to the array overload of ``passModel`` and, at each node,
 sets the bounds of every column it holds in one call before re-solving from
-the previous basis.  A binding that is missing fails the import, and one whose
-``passModel`` takes no arrays raises ``SolverError``.  Each re-solve runs with
-a HiGHS time limit of the time left of ``solve``'s ``deadline`` (none without
-one), and one that hits it ends the solve as ``deadline_exceeded``.
-The HiGHS objects outlive their relaxations: ``solve`` hands its object,
-its model and basis cleared with ``clearModel`` and its options kept, to a
-per-process list of idle objects when it returns a result, and the next
-relaxation takes one from there instead of constructing its own.  A relaxation built anywhere else, or one
-whose solve raises, is dropped with its object.
+the previous basis.  A binding that is missing fails the import, and one
+whose ``passModel`` takes no arrays raises ``SolverError``.  Each re-solve
+runs with a HiGHS time limit of the time left of ``solve``'s ``deadline``
+(none without one), and one that hits it ends the solve as
+``deadline_exceeded``.  The HiGHS objects outlive their relaxations:
+``solve`` hands its object, its model and basis cleared with ``clearModel``
+and its options kept, to a per-process list of idle objects when it returns
+a result, and the next relaxation takes one from there instead of
+constructing its own.  A relaxation built anywhere else, or one whose solve
+raises, is dropped with its object.
+
+The binding is the only part of scipy the solver uses, and ``_load_highs``
+loads that extension module by itself: it is found on the path of the
+top-level ``scipy`` package and registered under its canonical name, so
+importing the solver never runs ``scipy.optimize``'s package init, which
+costs about 0.4 s and 40 MB of RSS against 5 ms for the extension (2-core
+x86-64, scipy 1.17.1).  An extension already imported, as ``scipy.optimize``
+imports it, is reused.  ``linprog`` is a placeholder ``None`` that nothing
+calls, kept because ``perfbench/spans.py`` wraps that name.
 
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
@@ -44,19 +54,53 @@ every node, and it is never undone, so each later re-solve is smaller.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
-# a name only: perfbench/spans.py wraps solver.linprog, and Tracer.install fails without it
-from scipy.optimize import linprog  # noqa: F401
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:
-    raise ImportError("swaproute needs scipy >= 1.15 for its bundled HiGHS binding "
-                      "scipy.optimize._highspy._core") from exc
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """Scipy's HiGHS extension module, loaded without ``scipy.optimize``'s package init.
+
+    One already in ``sys.modules`` is reused.  A new one is registered under
+    its canonical name: under any other, a later ``import scipy.optimize``
+    would run the pybind11 init a second time and fail.
+    """
+    try:
+        if _HIGHS in sys.modules:
+            if sys.modules[_HIGHS] is None:
+                raise ImportError(f"import of {_HIGHS} halted; None in sys.modules")
+            return sys.modules[_HIGHS]
+        import scipy  # the top-level package alone; on Windows it sets the DLL search path
+        spec = importlib.machinery.PathFinder.find_spec(
+            _HIGHS, [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__])
+        if spec is None:
+            raise ModuleNotFoundError(f"no module named {_HIGHS!r}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS]
+            raise
+        return module
+    except ImportError as exc:
+        raise ImportError("swaproute needs scipy >= 1.15 for its bundled HiGHS binding "
+                          f"{_HIGHS}") from exc
+
+
+_highs = _load_highs()
+
+# a name only: perfbench/spans.py wraps solver.linprog, and Tracer.install fails without it
+linprog = None
 
 MODES = ("optimal", "near_optimal", "feasible_first")
 
@@ -288,6 +332,8 @@ def solve(model, cfg: SolverConfig | None = None,
           deadline: float | None = None) -> SolveResult:
     """Solve a routing BILP by branch and bound, within ``deadline`` seconds if given."""
     mode = (cfg or SolverConfig()).mode
+    if deadline is not None and math.isnan(deadline):
+        raise ValueError("deadline must be a number of seconds, got nan")
     stop_at = time.monotonic() + (math.inf if deadline is None else deadline)
 
     c = model.objective

@@ -72,6 +72,16 @@ def test_noise_file_bad_cnot_error_is_usage_error(tmp_path, capsys):
     assert "error: line 1: cnot error on edge (0, 1) must be in (0, 1), got 1.5" in err
 
 
+def test_noise_file_nan_duration_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "noise.txt"
+    f.write_text("cnot 0 1 0.01\ndecoherence 0 100 100\ndecoherence 1 100 100\n"
+                 "cnot_duration_ns nan\n")
+    code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--random", "1",
+                            "--error-model", "extended", "--noise", str(f)], capsys)
+    assert code == 2
+    assert "error: line 4: cnot duration must be >= 0 seconds, got nan" in err
+
+
 @pytest.mark.parametrize("content", [None, b"\x89\xff"])  # missing, not UTF-8
 def test_unreadable_instance_is_usage_error(content, tmp_path, capsys):
     path = tmp_path / "inst.txt"

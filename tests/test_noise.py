@@ -257,6 +257,16 @@ def test_error_map_validation():
         ErrorMap(cnot_error={(0, 1): 1.5}, t1=(100.0, 100.0), t2=(100.0, 100.0))
     with pytest.raises(NoiseError):
         ErrorMap(cnot_error={(0, 1): 0.01}, t1=(0.0, 100.0), t2=(100.0, 100.0))
+    for bad in (math.nan, -5e-9):
+        with pytest.raises(NoiseError, match="cnot duration must be >= 0 seconds"):
+            ErrorMap(cnot_error={(0, 1): 0.01}, t1=(100.0, 100.0), t2=(100.0, 100.0),
+                     cnot_duration=bad)
+
+
+def test_load_error_map_keeps_infinite_decoherence_and_zero_duration():
+    emap = load_error_map("cnot_duration_ns 0\ncnot 0 1 0.01\n"
+                          "decoherence 0 inf inf\ndecoherence 1 100 100\n")
+    assert emap.cnot_duration == 0.0 and emap.t1[0] == emap.t2[0] == math.inf
 
 
 @pytest.mark.parametrize("line", ["cnot 0 1 abc", "cnot a 1 0.01", "decoherence 0 x 100",
@@ -299,7 +309,15 @@ def test_load_error_map_rejects_cnot_off_the_graph_with_line(line, on_graph, wha
     ("cnot 0 1 0.01\ndecoherence 0 -5 100\ndecoherence 1 100 100\n", 2,
      r"t1 values must be > 0, got -5\.0"),
     ("cnot 0 1 0.01\ndecoherence 0 100 100\n\ndecoherence 1 100 0\n", 4,
-     r"t2 values must be > 0, got 0\.0")])
+     r"t2 values must be > 0, got 0\.0"),
+    ("cnot 0 1 0.01\ndecoherence 0 nan 100\ndecoherence 1 100 100\n", 2,
+     r"t1 values must be > 0, got nan"),
+    ("cnot 0 1 0.01\ndecoherence 0 100 100\ndecoherence 1 100 nan\n", 3,
+     r"t2 values must be > 0, got nan"),
+    ("cnot_duration_ns nan\ncnot 0 1 0.01\ndecoherence 0 100 100\ndecoherence 1 100 100\n", 1,
+     r"cnot duration must be >= 0 seconds, got nan"),
+    ("cnot 0 1 0.01\ndecoherence 0 100 100\ndecoherence 1 100 100\ncnot_duration_ns -5\n", 4,
+     r"cnot duration must be >= 0 seconds, got -5e-09")])
 def test_load_error_map_rejects_bad_values_with_line(text, lineno, what, on_graph):
     with pytest.raises(NoiseError, match=f"^line {lineno}: {what}$"):
         load_error_map(text, build_grid(1, 2) if on_graph else None)

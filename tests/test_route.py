@@ -294,6 +294,11 @@ def test_flexible_no_deeper_than_best_strict():
     assert solve_mqpf(g, emap, flex).depth <= best_strict
 
 
+def test_nan_timeout_rejected():
+    with pytest.raises(RouteError, match="timeout must be a number of seconds, got nan"):
+        RouteConfig(timeout=math.nan)
+
+
 def test_timeout_reports_timed_out():
     g = build_grid(4, 4)
     inst = random_instance(g, 6, "independent", 0)

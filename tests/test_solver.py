@@ -2,7 +2,9 @@ import gc
 import importlib.util
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -400,11 +402,75 @@ def test_binding_without_array_pass_model_is_solver_error(monkeypatch, capsys):
 
 def test_missing_binding_fails_import_naming_scipy_floor(monkeypatch):
     import scipy.optimize._highspy as highspy
-    monkeypatch.delattr(highspy, "_core")
+    monkeypatch.delattr(highspy, "_core", raising=False)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     spec = importlib.util.spec_from_file_location("solver_without_binding", solver.__file__)
     with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def run_fresh(code):
+    """Runs ``code`` in a fresh interpreter, whose import state is its own, with
+    the package and the tests importable; returns its stdout lines."""
+    paths = [os.path.dirname(os.path.dirname(solver.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return out.stdout.splitlines()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert run_fresh("import sys, swaproute, swaproute.cli\n"
+                     "print('scipy.optimize' in sys.modules)") == ["False"]
+
+
+def test_binding_loaded_by_scipy_optimize_is_reused():
+    assert run_fresh("import sys, scipy.optimize\n"
+                     "from swaproute import solver\n"
+                     "print(solver._highs is sys.modules['scipy.optimize._highspy._core'])"
+                     ) == ["True"]
+
+
+def test_scipy_linprog_and_milp_work_after_the_package_loaded():
+    code = """
+import hashlib, sys
+from dataclasses import replace
+from swaproute import solver
+from swaproute.route import solution_to_json
+import numpy as np
+from scipy.optimize import LinearConstraint, linprog, milp
+from test_route import PINNED_SOLUTIONS, pinned_solution
+print(linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1.5], bounds=(0, 1), method="highs").fun)
+print(milp([1, 2], constraints=LinearConstraint([[1, 1]], 1.5, np.inf),
+           integrality=[1, 1], bounds=(0, 1)).fun)
+print(solver._highs is sys.modules["scipy.optimize._highspy._core"])
+text = solution_to_json(replace(pinned_solution("simple"), timings={}))
+print(hashlib.sha256(text.encode()).hexdigest() == PINNED_SOLUTIONS["simple"])
+"""
+    assert run_fresh(code) == ["2.0", "3.0", "True", "True"]
+
+
+@pytest.mark.parametrize("core", [None, "raise ImportError('broken build')"])
+def test_scipy_without_binding_fails_import_naming_scipy_floor(core, tmp_path):
+    # a scipy tree with no _core file, or with one whose import fails
+    if core is not None:
+        (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+        (tmp_path / "optimize" / "_highspy" / "_core.py").write_text(core)
+    code = f"""
+import sys, scipy
+scipy.__path__[:] = [{str(tmp_path)!r}]
+try:
+    import swaproute
+except ImportError as exc:
+    print(exc)
+    print(exc.__cause__)
+print("scipy.optimize._highspy._core" in sys.modules)
+"""
+    assert run_fresh(code) == [
+        "swaproute needs scipy >= 1.15 for its bundled HiGHS binding "
+        "scipy.optimize._highspy._core",
+        "no module named 'scipy.optimize._highspy._core'" if core is None else "broken build",
+        "False"]
 
 
 def count_lp_builds(monkeypatch):
@@ -629,6 +695,13 @@ def test_assignment_satisfies_rows_exactly():
     for r in model.rows:
         val = sum(res.assignment[v] for v in r.plus) - sum(res.assignment[v] for v in r.minus)
         assert (val == r.rhs) if r.rel == "=" else (val <= r.rhs)
+
+
+def test_nan_deadline_rejected():
+    g = build_grid(2, 3)
+    model = routing_model(g, random_instance(g, 4, "independent", 1), 4)
+    with pytest.raises(ValueError, match="deadline must be a number of seconds, got nan"):
+        solve(model, deadline=math.nan)
 
 
 def test_deadline_zero():
