@@ -119,8 +119,7 @@ def build_model(teg, costs) -> BilpModel:
     var_keys = np.concatenate([np.column_stack([np.full_like(m_of, MOVE), k_of, t_of + 1,
                                                 tab.origins[m_of], tab.targets[m_of]]),
                                att]).astype(np.int32)
-    move_cost = np.array([costs.movement_cost(i, j) for i, j in tab.moves])
-    objective = np.concatenate([move_cost[m_of], np.zeros(len(att))])
+    objective = np.concatenate([costs.vector(tab.moves)[m_of], np.zeros(len(att))])
     # per team and node, the ordinal of its source (destination) attachment or -1
     att_ord = np.arange(n_move_vars, len(var_keys), dtype=np.int32)
     att_of = np.full((2, n_teams, n_nodes, 1), -1, dtype=np.int32)

@@ -33,7 +33,9 @@ class NoiseParams:
     ``cnot_mean`` is the linear-scale mean of the CNOT error; the draw is
     ``10**y`` with ``y ~ Normal(log10(cnot_mean), cnot_log10_sigma)``,
     rejection-resampled into ``cnot_bounds``.  T1/T2 (microseconds) use
-    linear-space truncated normals.
+    linear-space truncated normals.  Sigmas must be finite and >= 0 and the
+    T1/T2 means finite; a zero sigma draws the mean itself, so a T1/T2 mean
+    with a zero sigma must lie within its bounds.
     """
 
     cnot_mean: float = 0.001
@@ -54,10 +56,18 @@ class NoiseParams:
                 raise NoiseError(f"{name} must satisfy 0 <= lo < hi, got ({lo}, {hi})")
         for name, sig in (("cnot_log10_sigma", self.cnot_log10_sigma),
                           ("t1_sigma", self.t1_sigma), ("t2_sigma", self.t2_sigma)):
-            if sig < 0:
-                raise NoiseError(f"{name} must be >= 0, got {sig}")
+            if not 0 <= sig < math.inf:
+                raise NoiseError(f"{name} must be finite and >= 0, got {sig}")
         if not (0.0 < self.cnot_mean < 1.0):
             raise NoiseError(f"cnot_mean must be in (0, 1), got {self.cnot_mean}")
+        for name, mean, sig, (lo, hi) in (("t1", self.t1_mean, self.t1_sigma, self.t1_bounds),
+                                          ("t2", self.t2_mean, self.t2_sigma, self.t2_bounds)):
+            if not math.isfinite(mean):
+                raise NoiseError(f"{name}_mean must be finite, got {mean}")
+            # a zero sigma draws nothing but the mean
+            if sig == 0 and not lo <= mean <= hi:
+                raise NoiseError(f"{name}_mean {mean} lies outside {name}_bounds ({lo}, {hi}) "
+                                 f"and {name}_sigma is 0")
 
 
 #: Parameters matching current IBM Quantum Heron device calibration data.
@@ -184,10 +194,20 @@ class MovementCosts:
 
     model: str
     cost: dict = field(repr=False)
+    _vectors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def movement_cost(self, i: int, j: int) -> float:
         """Cost of the movement i -> j (idle when i == j)."""
         return self.cost[(i, j)]
+
+    def vector(self, moves: tuple) -> np.ndarray:
+        """Read-only float array of the costs of ``moves``, a tuple of (i, j)
+        pairs, in order; built on the first call per tuple and then kept."""
+        vec = self._vectors.get(moves)
+        if vec is None:
+            vec = self._vectors[moves] = np.array([self.cost[mv] for mv in moves], dtype=float)
+            vec.flags.writeable = False
+        return vec
 
 
 def movement_costs(g, emap: ErrorMap, model: str = "simple") -> MovementCosts:

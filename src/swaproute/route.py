@@ -1,5 +1,6 @@
 """The outer routing algorithm: depth lower bounds, iterative deepening over
-the time expansion, path extraction, validation, and error metrics."""
+the time expansion, an LP-free planner that starts the non-optimal solver
+modes, path extraction, validation, and error metrics."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+
+import numpy as np
 
 from . import bilp, texpand
 from .instance import merge_teams, validate as validate_instance
@@ -98,6 +101,17 @@ def lower_bound_matching(g, inst) -> int | None:
     At the final step every qubit sits on a distinct destination of its
     team, at most ``depth`` hops from its source, so the optimal depth is at
     least this bound; and the bound is at least ``lower_bound_dijkstra``.
+    """
+    return _match_destinations(g, inst)[0]
+
+
+def _match_destinations(g, inst, top=None):
+    """(level, matched) for the bottleneck matching of qubits to distinct
+    destinations of their own teams: the smallest hop level, up to ``top``
+    when given, at which every qubit has a destination within that many hops
+    of its source, and the destination of each qubit at that level; (None,
+    None) when no level up to ``top`` matches them all.
+
     The matching grows by augmenting paths, one hop level at a time from the
     hop bound up.
     """
@@ -117,14 +131,17 @@ def lower_bound_matching(g, inst) -> int | None:
         return False
 
     free = range(len(options))
-    top = max(d for opts in options for _, d in opts)
+    top = max(d for opts in options for _, d in opts) if top is None else top
     for level in range(max(min(d for _, d in opts) for opts in options), top + 1):
         # a qubit with no augmenting path now has none after later augmentations
         # at this level either, so one try per free qubit makes the matching maximum
         free = [a for a in free if not augment(a, level, set())]
         if not free:
-            return level
-    return None
+            matched = [None] * len(options)
+            for v, a in owner.items():
+                matched[a] = v
+            return level, matched
+    return None, None
 
 
 def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
@@ -195,6 +212,12 @@ def _deepen(g, inst, cfg, costs):
     ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.  Every
     exit goes through ``result``, which sets ``total_s`` and, given the
     solved attempt, fills the paths and their metrics.
+
+    Outside ``optimal`` mode each attempt first runs ``plan_paths`` and hands
+    the solver its schedule as ``start`` (when it finds one) and its bound as
+    ``floor``; the planner's time counts in ``solve_s``.  Whether a depth is
+    feasible does not depend on the start, so the depths tried, the single-
+    team bound and ``presolve_bound`` are the same in every mode.
     """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
@@ -208,8 +231,7 @@ def _deepen(g, inst, cfg, costs):
         if found is not None:
             teg, model, res = found
             teams, paths = extract_paths(res.assignment, teg, model)
-            fields = dict(depth=teg.depth, teams=teams, paths=paths,
-                          schedule=schedule_from_paths(paths), **metrics(paths, costs),
+            fields = dict(depth=teg.depth, teams=teams, paths=paths, **metrics(paths, costs),
                           solver_status=status, solver_gap=res.gap,
                           bilp_vars=model.var_count, bilp_rows=model.row_count)
         timings["total_s"] = time.monotonic() - start
@@ -237,7 +259,12 @@ def _deepen(g, inst, cfg, costs):
     def attempt(depth):
         teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
         t0 = time.monotonic()
-        res = solve(model, cfg.solver, remaining())
+        planned = {}
+        if cfg.solver.mode != "optimal":
+            paths, floor = plan_paths(teg, costs)
+            planned = dict(floor=floor, start=None if paths is None
+                           else assignment_from_paths(paths, teg, model))
+        res = solve(model, cfg.solver, remaining(), **planned)
         timings["solve_s"] += time.monotonic() - t0
         return res.status, (teg, model, res)
 
@@ -256,6 +283,87 @@ def _deepen(g, inst, cfg, costs):
     if status == "deadline_exceeded":
         return result("timed_out")
     return result(status, found)
+
+
+def plan_paths(teg, costs):
+    """A schedule planned without any LP, and a lower bound on the model optimum.
+
+    Returns ``(paths, floor)`` in the qubit order of ``extract_paths``.
+
+    ``floor`` sums, over qubits, the cost of the cheapest walk of ``depth``
+    steps from the qubit's source to any destination of its team over the
+    team's trimmed moves, with no other qubit present (``inf`` when a qubit
+    has none).  Dropping every row that couples qubits, and every row that
+    keeps destinations distinct, leaves exactly these walks, so the floor
+    bounds the model optimum from below.
+
+    ``paths`` comes from prioritized planning: each qubit gets a distinct
+    destination of its team from the matching of ``lower_bound_matching``,
+    and the qubits are routed one at a time, those with the fewest spare
+    steps (``depth`` minus the hops to their destination) first, ties by
+    qubit number.  Each walk is a min-cost dynamic program over timesteps on
+    the team's trimmed moves that leaves out, at each step t, the moves that
+    the qubits routed before it forbid: a move into a node an earlier qubit
+    holds at t (exclusivity); a move i -> j, i != j, when the earlier qubit
+    on j at t - 1 goes anywhere but i; and a move i -> j, i != j, when an
+    earlier qubit enters i at t from anywhere but j (swap pairing).  Ties go
+    to the lowest move index.  ``paths`` is None when there is no such
+    matching at ``depth`` or some qubit has no walk left.
+    """
+    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
+    n_moves = len(tab.moves)
+    sources = [s for src in inst.sources for s in src]
+    teams = [k for k, src in enumerate(inst.sources) for _ in src]
+    # per team and step, the cost of each move or inf where the trim drops it;
+    # the last column, at inf, is the padding index of the movement tables, and
+    # its target is any node
+    team_cost = np.full((inst.team_count, depth, n_moves + 1), np.inf)
+    team_cost[..., :n_moves] = np.where(teg.mask, costs.vector(tab.moves), np.inf)
+    targets = np.append(tab.targets, 0)
+
+    # per team and node, the cost of the cheapest walk to any of its destinations
+    to_go = np.full((inst.team_count, g.node_count), np.inf)
+    for k, dst in enumerate(inst.destinations):
+        to_go[k, list(dst)] = 0.0
+    for t in reversed(range(depth)):
+        to_go = (team_cost[:, t] + to_go[:, targets])[:, tab.moves_from].min(axis=2)
+    floor = float(sum(to_go[k, s] for k, s in zip(teams, sources)))
+
+    level, matched = _match_destinations(g, inst, depth)
+    if level is None:
+        return None, floor
+    order = sorted(range(len(sources)),
+                   key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
+    blocked = np.zeros((depth, n_moves + 1), dtype=bool)  # moves the routed qubits forbid
+    steps = np.arange(depth)
+    paths = [None] * len(sources)
+    for a in order:
+        step_cost = np.where(blocked, np.inf, team_cost[teams[a]])
+        cand = np.empty_like(step_cost)  # per step and move: its cost plus the cost to go
+        to_go = np.full(g.node_count, np.inf)
+        to_go[matched[a]] = 0.0
+        for t in reversed(range(depth)):
+            np.add(step_cost[t], to_go[targets], out=cand[t])
+            to_go = cand[t][tab.moves_from].min(axis=1)
+        if to_go[sources[a]] == np.inf:
+            return None, floor
+        node, moves = sources[a], []
+        for t in range(depth):
+            out = tab.moves_from[node]
+            moves.append(out[np.argmin(cand[t][out])])  # the first minimum: lowest index
+            node = tab.targets[moves[-1]]
+        moves = np.array(moves, dtype=np.intp)
+        u, w = tab.origins[moves], tab.targets[moves]
+        paths[a] = (sources[a], *w.tolist())
+        mine = np.zeros_like(blocked)
+        mine[steps[:, None], tab.moves_into[w]] = True  # every move into w
+        mine[steps[:, None], tab.moves_into[u]] = True  # into u, but for the swap w -> u
+        mine[steps[:, None], tab.moves_from[w]] = True  # out of w, but for the swap w -> u
+        swapped = u != w
+        # both directions of an edge are adjacent movements (see texpand.GraphTables)
+        mine[steps[swapped], moves[swapped] ^ 1] = False
+        blocked |= mine
+    return tuple(paths), floor
 
 
 def extract_paths(assignment, teg, model):
@@ -286,6 +394,33 @@ def extract_paths(assignment, teg, model):
             teams.append(k)
             paths.append(tuple(path))
     return tuple(teams), tuple(paths)
+
+
+def assignment_from_paths(paths, teg, model):
+    """The model's 0/1 assignment of ``paths``, the inverse of ``extract_paths``:
+    every movement of every path, and the attachments of its first and last
+    nodes.  The ordinals are read from ``model.var_keys``; a path that needs
+    a variable the model does not hold raises ``RouteError``."""
+    inst, depth = teg.instance, teg.depth
+    teams = np.array([k for k, src in enumerate(inst.sources) for _ in src])
+    p = np.array(paths).reshape(len(teams), depth + 1)
+    ends = np.zeros_like(teams)
+    wanted = np.concatenate([
+        np.column_stack([np.full(p[:, 1:].size, bilp.MOVE), teams.repeat(depth),
+                         np.tile(np.arange(1, depth + 1), len(teams)),
+                         p[:, :-1].ravel(), p[:, 1:].ravel()]),
+        np.column_stack([ends + bilp.SRC, teams, ends, p[:, 0], p[:, 0]]),
+        np.column_stack([ends + bilp.DST, teams, ends, p[:, -1], p[:, -1]])])
+    dims = (3, inst.team_count, depth + 1, teg.graph.node_count, teg.graph.node_count)
+    have = np.ravel_multi_index(tuple(model.var_keys.T), dims)
+    want = np.ravel_multi_index(tuple(wanted.T), dims)
+    order = np.argsort(have)
+    at = np.minimum(np.searchsorted(have[order], want), len(have) - 1)
+    if not np.array_equal(have[order[at]], want):
+        raise RouteError("paths use a movement or attachment the model does not hold")
+    assignment = np.zeros(model.var_count, dtype=np.int8)
+    assignment[order[at]] = 1
+    return assignment
 
 
 def schedule_from_paths(paths):
@@ -358,7 +493,8 @@ def validate(g, inst, sol: RoutingSolution) -> list[str]:
 
 
 def metrics(paths, costs) -> dict:
-    """Recompute error metrics from paths, independently of the solver objective."""
+    """Recompute error metrics from paths, independently of the solver
+    objective, along with the swap schedule they count swaps on."""
     swap_cost = 0.0
     idle_cost = 0.0
     arrival_sum = 0
@@ -372,7 +508,8 @@ def metrics(paths, costs) -> dict:
             else:
                 idle_cost += costs.movement_cost(p[t], p[t])
         arrival_sum += last_move
-    swap_count = sum(map(len, schedule_from_paths(paths)))
+    schedule = schedule_from_paths(paths)
+    swap_count = sum(map(len, schedule))
     total = swap_cost + idle_cost
     error, fidelity = accumulated_error(total)
     e_swap = 1.0 - math.exp(-swap_cost)
@@ -381,6 +518,7 @@ def metrics(paths, costs) -> dict:
     if costs.model != "simple" and e_swap > 0.0:
         ratio = e_idle / e_swap
     return {
+        "schedule": schedule,
         "cost": total,
         "error": error,
         "fidelity": fidelity,

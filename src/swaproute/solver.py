@@ -41,6 +41,18 @@ x86-64, scipy 1.17.1).  An extension already imported, as ``scipy.optimize``
 imports it, is reused.  ``linprog`` is a placeholder ``None`` that nothing
 calls, kept because ``perfbench/spans.py`` wraps that name.
 
+A call may pass a ``start`` assignment and a ``floor``; ``route`` passes the
+schedule and the bound of its LP-free planner in the two non-optimal modes.
+``start`` must pass the exact row check, and it becomes the first
+incumbent.  ``floor`` is a proven lower bound on the optimum.  ``best_bound``
+is the larger of the floor and the least bound of the open subtrees.  Before
+the root is searched no subtree has a bound, so the floor alone counts; an
+empty stack means an exhausted search only after that.  ``feasible_first``
+returns a start at once.  ``near_optimal`` stops once the incumbent is within
+``NEAR_GAP`` of ``best_bound``, which with a close enough start and floor
+happens before root propagation and HiGHS.  Neither argument changes the
+search order, and a call without them searches as before.
+
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
 outside ``feasible_first``, the search keeps the root bound z and reduced
@@ -104,7 +116,9 @@ linprog = None
 
 MODES = ("optimal", "near_optimal", "feasible_first")
 
-NEAR_GAP = 0.08  # near_optimal stops within this of the open-subtree bound, relative or absolute
+# near_optimal stops within this, relative or absolute, of the larger of the
+# floor and the open-subtree bound
+NEAR_GAP = 0.08
 
 _OBJ_TOL = 1e-9
 _INT_TOL = 1e-6
@@ -328,29 +342,45 @@ def _check_assignment(model, x):
     return bool(np.all(np.where(model.eq, lhs == model.rhs, lhs <= model.rhs)))
 
 
-def solve(model, cfg: SolverConfig | None = None,
-          deadline: float | None = None) -> SolveResult:
-    """Solve a routing BILP by branch and bound, within ``deadline`` seconds if given."""
+def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
+          start: np.ndarray | None = None, floor: float | None = None) -> SolveResult:
+    """Solve a routing BILP by branch and bound, within ``deadline`` seconds if given.
+
+    ``start``, a feasible 0/1 assignment, is the first incumbent, and
+    ``floor`` a proven lower bound on the optimum; ``best_bound`` is never
+    below it, and neither changes the search order.
+    """
     mode = (cfg or SolverConfig()).mode
     if deadline is not None and math.isnan(deadline):
         raise ValueError("deadline must be a number of seconds, got nan")
     stop_at = time.monotonic() + (math.inf if deadline is None else deadline)
 
     c = model.objective
-    prop = _Propagator(model)
     incumbent = None
     inc_obj = np.inf
-    nodes = 1  # the root
+    if start is not None:
+        if not _check_assignment(model, start):
+            raise SolverError("starting assignment failed exact feasibility check")
+        incumbent, inc_obj = start, float(c @ start)
+    lowest = -np.inf if floor is None else floor
+    nodes = 0
     # open branches: (var, untried value, trail mark, parent bound)
     stack = []
+    searched = False  # set once the root is searched; an empty stack then means done
 
-    def open_bound():
-        return min((f[3] for f in stack), default=inc_obj)
+    def best_bound():
+        if stack:
+            return max(lowest, min(f[3] for f in stack))
+        return max(lowest, inc_obj if searched else -np.inf)
+
+    def near_enough():
+        gap = inc_obj - best_bound()
+        return gap / max(inc_obj, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP
 
     def result(status):
         if lp is not None:
             lp.release()
-        bb = open_bound()
+        bb = best_bound()
         return SolveResult(
             status=status,
             assignment=incumbent,
@@ -360,12 +390,17 @@ def solve(model, cfg: SolverConfig | None = None,
             nodes=nodes)
 
     lp = None  # built at the first node that leaves a variable free
+    if incumbent is not None and (mode == "feasible_first"
+                                  or mode == "near_optimal" and near_enough()):
+        return result("feasible")
+    nodes = 1  # the root
+    prop = _Propagator(model)
     if not prop.propagate_all():
         return result("infeasible")
     # per column, a lower bound from the root's reduced costs on every solution
     # that sets it to 1 (-inf where none is known), set at a fractional root,
     # and the incumbent value that columns were last priced out against
-    floor, priced = None, np.inf
+    col_floor, priced = None, np.inf
 
     while True:
         if time.monotonic() > stop_at:
@@ -377,11 +412,11 @@ def solve(model, cfg: SolverConfig | None = None,
             cand = None
             if lp is None:
                 lp = _LpRelaxation(model)
-            elif floor is not None and inc_obj < priced:
+            elif col_floor is not None and inc_obj < priced:
                 # no solution that sets these columns to 1 can beat the incumbent;
                 # done here, not when the incumbent improves, so that a search
                 # ending first deletes nothing
-                lp.drop(floor >= inc_obj - _OBJ_TOL)
+                lp.drop(col_floor >= inc_obj - _OBJ_TOL)
                 priced = inc_obj
             try:
                 relaxed = lp.bound(prop.values, stop_at - time.monotonic())
@@ -399,7 +434,7 @@ def solve(model, cfg: SolverConfig | None = None,
                         # across re-solves raised desk8x8's peak RSS by about 1.7 MB
                         d = np.asarray(lp.highs.getSolution().col_dual)
                         tol = lp.highs.getOptionValue("dual_feasibility_tolerance")[1]
-                        floor = np.where(free & (d > tol), bound + d - tol, -np.inf)
+                        col_floor = np.where(free & (d > tol), bound + d - tol, -np.inf)
                     # branch on the most fractional free variable, ties by ordinal
                     v = int(np.argmax(np.where(free, 0.5 - np.abs(x - 0.5), -1.0)))
                     preferred = 1 if x[v] >= 0.5 else 0
@@ -407,6 +442,7 @@ def solve(model, cfg: SolverConfig | None = None,
                     if prop.assign(v, preferred):
                         nodes += 1
                         continue
+        searched = True
         if cand is not None:
             if not _check_assignment(model, cand):
                 raise SolverError("integral relaxation failed exact feasibility check")
@@ -417,10 +453,8 @@ def solve(model, cfg: SolverConfig | None = None,
                     return result("feasible")
         # backtrack to the deepest open branch that the incumbent does not prune
         while True:
-            if mode == "near_optimal" and incumbent is not None:
-                gap = inc_obj - open_bound()
-                if gap / max(inc_obj, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP:
-                    return result("feasible")
+            if mode == "near_optimal" and incumbent is not None and near_enough():
+                return result("feasible")
             if not stack:
                 return result("infeasible" if incumbent is None else "optimal")
             v, val, mark, parent_bound = stack.pop()

@@ -93,6 +93,28 @@ def test_sampled_values_within_bounds():
         assert 6.0 <= v <= 321.0
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("t1_sigma", dict(t1_sigma=math.nan)),
+    ("t1_sigma", dict(t1_sigma=math.inf)),
+    ("t2_sigma", dict(t2_sigma=math.nan)),
+    ("cnot_log10_sigma", dict(cnot_log10_sigma=math.nan)),
+    ("cnot_log10_sigma", dict(cnot_log10_sigma=math.inf)),
+    ("t1_mean", dict(t1_mean=math.nan)),
+    ("t2_mean", dict(t2_mean=math.inf)),
+    ("t1_mean", dict(t1_sigma=0.0, t1_mean=500.0)),
+    ("t2_mean", dict(t2_sigma=0.0, t2_mean=1.0)),
+], ids=lambda v: repr(v) if isinstance(v, dict) else v)
+def test_unsatisfiable_params_rejected_at_construction(field, kwargs):
+    with pytest.raises(NoiseError, match=field):
+        NoiseParams(**kwargs)
+
+
+def test_zero_sigma_mean_on_a_bound_accepted():
+    params = NoiseParams(t1_sigma=0.0, t1_mean=310.0, t2_sigma=0.0, t2_mean=6.0)
+    emap = sample_error_map(build_grid(1, 2), params, 0)
+    assert emap.t1 == (310.0, 310.0) and emap.t2 == (6.0, 6.0)
+
+
 def test_impossible_bounds_hit_resample_cap():
     g = build_grid(1, 2)
     params = NoiseParams(cnot_mean=0.9, cnot_log10_sigma=0.0, cnot_bounds=(0.001, 0.01))
@@ -212,6 +234,15 @@ def test_movement_costs_pinned(layout, model):
         text = repr([costs.movement_cost(i, j) for i, j in moves])
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert tuple(digests) == COST_PINS[layout, model]
+
+
+def test_cost_vector_follows_moves_and_is_built_once():
+    g = build_layout("grid:3x3")
+    moves = texpand.graph_tables(g).moves
+    costs = movement_costs(g, sample_error_map(g, noise.HERON, 0), "extended")
+    vec = costs.vector(moves)
+    assert vec.tolist() == [costs.movement_cost(i, j) for i, j in moves]
+    assert costs.vector(moves) is vec and not vec.flags.writeable
 
 
 def test_accumulated_error():

@@ -14,7 +14,7 @@ from swaproute.route import (RouteConfig, RouteError, lower_bound_dijkstra,
                              lower_bound_matching, lower_bound_single_team, metrics,
                              schedule_from_paths, solution_to_json, solve_mqpf,
                              validate)
-from swaproute.solver import SolverConfig
+from swaproute.solver import NEAR_GAP, SolverConfig, _check_assignment
 
 from conftest import build_cycle, random_maybe_flexible_instance, uniform_error_map
 
@@ -307,11 +307,12 @@ def test_timeout_reports_timed_out():
     assert not sol.solved
 
 
-# (layout, qubits, seed) -> depth, cost and presolve_bound, with the single-team
-# bound below the hop bound in every case; instance seed s, heron noise seed s + 1000
+# (layout, qubits, seed) -> depth, near_optimal cost and presolve_bound, with the
+# single-team bound below the hop bound in every case; instance seed s, heron noise
+# seed s + 1000
 SINGLE_TEAM_CASES = {
-    ("grid:8x8", 8, 8): (10, 0.39161695751271963, 6),
-    ("grid:8x8", 8, 36): (12, 0.5558918608874196, 6),
+    ("grid:8x8", 8, 8): (10, 0.3916197067092741, 6),
+    ("grid:8x8", 8, 36): (12, 0.557657690072735, 6),
     ("grid:2x3", 2, 4): (3, 0.03716534423359309, 2),
     ("grid:2x3", 3, 6): (3, 0.08512225315307742, 0),
 }
@@ -323,6 +324,9 @@ def test_single_team_deepening_starts_at_hop_bound(case, monkeypatch):
     layout, qubits, seed = case
     g = build_layout(layout)
     inst = random_instance(g, qubits, "independent", seed)
+    emap = sample_error_map(g, HERON, seed + 1000)
+    cfg = RouteConfig(error_model="extended", presolve="single_team")
+    optimum = solve_mqpf(g, emap, inst, cfg).cost
     tried = []
     build = route.model_at_depth
 
@@ -331,15 +335,15 @@ def test_single_team_deepening_starts_at_hop_bound(case, monkeypatch):
             tried.append(depth)
         return build(g_, inst_, costs, depth, *args)
     monkeypatch.setattr(route, "model_at_depth", recorded)
-    cfg = RouteConfig(error_model="extended", presolve="single_team",
-                      solver=SolverConfig(mode="near_optimal"))
-    sol = solve_mqpf(g, sample_error_map(g, HERON, seed + 1000), inst, cfg)
+    sol = solve_mqpf(g, emap, inst, replace(cfg, solver=SolverConfig(mode="near_optimal")))
     depth, cost, presolve_bound = SINGLE_TEAM_CASES[case]
     hop_bound = lower_bound_dijkstra(g, inst)
     assert presolve_bound < hop_bound
     assert tried == list(range(hop_bound, depth + 1))
     assert sol.solved and sol.depth == depth
     assert sol.cost == pytest.approx(cost, rel=0, abs=1e-12)
+    excess = sol.cost - optimum
+    assert -1e-12 <= excess and (excess <= NEAR_GAP or excess / sol.cost <= NEAR_GAP)
     assert sol.presolve_bound == presolve_bound
 
 
@@ -491,3 +495,87 @@ def test_solve_path_derives_no_row_names(monkeypatch):
                      random_instance(desk, 8, "independent", 0),
                      RouteConfig(error_model="extended"))
     assert solved == 51 and sol.status == "optimal"
+
+
+def solo_walks_floor(teg, costs):
+    """Loop reference for the planner's floor: per qubit, the cheapest walk of
+    ``depth`` trimmed moves of its team from its source to any destination."""
+    inst, moves = teg.instance, teg.tables.moves
+    total = 0.0
+    for k, (src, dst) in enumerate(zip(inst.sources, inst.destinations)):
+        for s in src:
+            best = {s: 0.0}  # node -> cheapest cost to stand there after t steps
+            for t in range(teg.depth):
+                step = {}
+                for m, (i, j) in enumerate(moves):
+                    if teg.mask[k, t, m] and i in best:
+                        step[j] = min(step.get(j, math.inf), best[i] + costs.movement_cost(i, j))
+                best = step
+            total += min((best.get(v, math.inf) for v in dst), default=math.inf)
+    return total
+
+
+def test_planned_schedules_are_feasible_and_floor_is_below_oracle_cost():
+    planned = total = 0
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            costs = movement_costs(g, sample_error_map(g, HERON, seed),
+                                   ("extended", "simple")[seed // 2 % 2])
+            depth = oracle.bfs_optimal_depth(g, inst)
+            teg, model = route.model_at_depth(g, inst, costs, depth)
+            paths, floor = route.plan_paths(teg, costs)
+            total += 1
+            assert floor == pytest.approx(solo_walks_floor(teg, costs), abs=1e-12), seed
+            assert floor <= oracle.exhaustive_min_cost(g, costs, inst, depth) + 1e-12, seed
+            if paths is None:
+                continue
+            planned += 1
+            assert not validate(g, inst, route.RoutingSolution("feasible", depth, paths=paths))
+            x = route.assignment_from_paths(paths, teg, model)
+            assert _check_assignment(model, x), seed
+            assert route.extract_paths(x, teg, model)[1] == paths
+            assert float(model.objective @ x) == pytest.approx(metrics(paths, costs)["cost"],
+                                                               abs=1e-12)
+    assert total == 300 and planned >= 250  # the planner finds 253
+
+
+def test_planner_walks_avoid_earlier_qubits():
+    # qubit 1 has no spare step and goes first, straight along the path.  Alone,
+    # qubit 0 would swap 1 -> 2 -> 1 -> 2, as a swap costs less than an idle step
+    # here, but qubit 1 enters 2 at step 1; so it waits, then swaps through qubit 1
+    g = build_grid(1, 4)
+    inst = MqpfInstance(sources=((1,), (3,)), destinations=((2,), (0,)))
+    costs = movement_costs(g, uniform_error_map(g), "extended")
+    assert costs.movement_cost(1, 2) < costs.movement_cost(1, 1)
+    teg, _ = route.model_at_depth(g, inst, costs, 3)
+    paths, floor = route.plan_paths(teg, costs)
+    assert paths == ((1, 1, 2, 2), (3, 2, 1, 0))
+    assert not validate(g, inst, route.RoutingSolution("feasible", 3, paths=paths))
+    assert floor == pytest.approx(6 * costs.movement_cost(1, 2), abs=1e-15)
+
+
+@pytest.mark.parametrize("presolve", ("none", "dijkstra"))
+def test_optimal_mode_never_plans(presolve, monkeypatch):
+    def refused(*args):
+        raise AssertionError("planner called in optimal mode")
+    monkeypatch.setattr(route, "plan_paths", refused)
+    g = build_grid(2, 3)
+    for seed in range(12):
+        inst = random_instance(g, 3, ("independent", "mixed", "single")[seed % 3], seed)
+        assert solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(presolve=presolve)).solved
+    with pytest.raises(AssertionError, match="planner called"):
+        solve_mqpf(g, uniform_error_map(g), inst,
+                   RouteConfig(solver=SolverConfig(mode="near_optimal")))
+
+
+def test_result_builds_the_schedule_once(monkeypatch):
+    calls = []
+    schedule = route.schedule_from_paths
+    monkeypatch.setattr(route, "schedule_from_paths",
+                        lambda paths: calls.append(1) or schedule(paths))
+    g = build_grid(2, 3)
+    sol = solve_mqpf(g, uniform_error_map(g), random_instance(g, 3, "mixed", 1))
+    assert len(calls) == 1 and sol.schedule == schedule(sol.paths)

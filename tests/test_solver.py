@@ -669,21 +669,74 @@ def test_mode_dominance_and_gap_contract():
 
 
 def test_stopped_search_bound_and_gap_hold_against_optimum():
-    # a frame left out of the open-subtree bound would overstate best_bound
-    branched = stopped_short = 0
+    # a frame left out of the open-subtree bound would overstate best_bound, and
+    # so would an empty stack read as a searched root before a started search
+    branched = stopped_short = started = 0
     for seed in range(60):
         g = build_grid(2, 3)
-        model = routing_model(g, random_instance(g, 3, "mixed", seed), 4, "extended")
+        inst = random_instance(g, 3, "mixed", seed)
+        model = routing_model(g, inst, 4, "extended")
         optimum = solve(model, SolverConfig(mode="optimal")).objective
+        teg = texpand.trim(texpand.expand(g, inst, 4))
+        paths, floor = route.plan_paths(
+            teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"))
+        hints = [{}]
+        if paths is not None:
+            hints.append(dict(start=route.assignment_from_paths(paths, teg, model), floor=floor))
         for mode in ("near_optimal", "feasible_first"):
-            res = solve(model, SolverConfig(mode=mode))
-            if res.status != "feasible":
-                continue
-            assert res.best_bound <= optimum + 1e-9, (seed, mode)
-            assert (res.objective - optimum) / max(res.objective, 1e-12) <= res.gap + 1e-9
-            branched += res.nodes > 1
-            stopped_short += res.gap > 0
-    assert branched and stopped_short
+            for hint in hints:
+                res = solve(model, SolverConfig(mode=mode), **hint)
+                if res.status != "feasible":
+                    continue
+                assert res.best_bound <= optimum + 1e-9, (seed, mode)
+                assert (res.objective - optimum) / max(res.objective, 1e-12) <= res.gap + 1e-9
+                assert res.gap == pytest.approx(
+                    max((res.objective - res.best_bound) / res.objective, 0.0), abs=1e-12)
+                branched += res.nodes > 1
+                stopped_short += res.gap > 0
+                started += bool(hint) and res.objective > optimum + 1e-9
+    assert branched and stopped_short and started
+
+
+def planned_desk_model():
+    """Criterion-10 seed 0 at depth 7, with its planned start and floor."""
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", 0)
+    costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
+    teg, model = route.model_at_depth(g, inst, costs, 7)
+    paths, floor = route.plan_paths(teg, costs)
+    return model, route.assignment_from_paths(paths, teg, model), floor
+
+
+@pytest.mark.parametrize("mode", ("near_optimal", "feasible_first"))
+def test_started_solve_within_contract_stops_before_the_root(mode, monkeypatch):
+    model, start, floor = planned_desk_model()
+    calls = count_lp_builds(monkeypatch)
+    res = solve(model, SolverConfig(mode=mode), start=start, floor=floor)
+    gap = res.objective - floor
+    assert gap <= solver.NEAR_GAP  # so near_optimal stops at once too
+    assert res.status == "feasible" and res.nodes == 0 and not calls
+    assert res.assignment is start and res.best_bound == floor
+    assert res.gap == pytest.approx(gap / res.objective, abs=1e-15)
+
+
+def test_started_solve_keeps_searching_outside_contract():
+    # with no floor, nothing bounds the start before the root is searched
+    model, start, _ = planned_desk_model()
+    res = solve(model, SolverConfig(mode="near_optimal"), start=start)
+    assert res.status == "feasible" and res.nodes >= 1
+    assert res.objective <= float(model.objective @ start)
+    optimal = solve(model, start=start)
+    assert optimal.status == "optimal"
+    assert optimal.objective == pytest.approx(solve(model).objective, abs=1e-12)
+
+
+def test_infeasible_start_raises_solver_error():
+    g = build_grid(2, 3)
+    model = routing_model(g, random_instance(g, 3, "mixed", 0), 4)
+    with pytest.raises(SolverError, match="starting assignment"):
+        solve(model, SolverConfig(mode="feasible_first"),
+              start=np.zeros(model.var_count, dtype=np.int8))
 
 
 def test_assignment_satisfies_rows_exactly():
