@@ -52,8 +52,9 @@ def _positive_seconds(text):
     return value
 
 
-def _int_at_least(low):
-    """argparse type of an integer option that must be >= ``low``."""
+def _int_in(low, high=None, cap=""):
+    """argparse type of an integer option that must be >= ``low`` and, when
+    ``high`` is given, <= ``high``, the limit that ``cap`` names."""
     def parse(text):
         try:
             value = int(text)
@@ -61,13 +62,15 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, {cap}, got {value}")
         return value
     return parse
 
 
 def _qubit_counts(text):
     """argparse type of ``--qubits``: ``lo..hi`` or a comma list of counts >= 1."""
-    count = _int_at_least(1)
+    count = _int_in(1)
     if ".." not in text:
         return [count(x) for x in text.split(",")]
     lo, _, hi = text.partition("..")
@@ -183,7 +186,7 @@ def _bench_args(sub):
     p.add_argument("--layout", required=True)
     p.add_argument("--qubits", required=True, type=_qubit_counts,
                    help="abstract qubit counts: 'lo..hi' or comma list")
-    p.add_argument("--instances", type=_int_at_least(1), default=10)
+    p.add_argument("--instances", type=_int_in(1), default=10)
     p.add_argument("--team-mode", choices=inst_mod.TEAM_MODES, default="independent")
     p.add_argument("--modes", default="optimal",
                    help="comma list from: " + ", ".join(sorted(_MODE_NAMES)))
@@ -192,7 +195,7 @@ def _bench_args(sub):
                    help="seconds per instance, > 0")
     p.add_argument("--noise-preset", choices=sorted(noise.PRESETS), default="heron")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_in(1), default=1)
     p.set_defaults(func=cmd_bench)
 
 
@@ -254,9 +257,10 @@ def cmd_bench(args):
 def _oracle_args(sub):
     p = sub.add_parser("oracle-check",
                        help="cross-check the solver against brute-force ground truth")
-    p.add_argument("--nodes-max", type=_int_at_least(2), default=8,
-                   help="largest random graph, in nodes (>= 2)")
-    p.add_argument("--samples", type=_int_at_least(0), default=50)
+    cap = oracle._BFS_NODE_CAP
+    p.add_argument("--nodes-max", type=_int_in(2, cap, "the oracle's node cap"),
+                   default=8, help=f"largest random graph, in nodes (2..{cap})")
+    p.add_argument("--samples", type=_int_in(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -49,42 +49,33 @@ class MqpfInstance:
 
 
 def validate(g, inst: MqpfInstance) -> list[str]:
-    """Return every invariant violation (empty list means the instance is valid)."""
+    """Return every invariant violation (empty list means the instance is valid),
+    the source ones first, then the destination ones, each in team order."""
     violations = []
-    seen_sources = {}
-    for k, srcs in enumerate(inst.sources):
-        if len(srcs) != len(set(srcs)):
-            violations.append(f"team {k}: duplicate source nodes")
-        for v in srcs:
-            if not (0 <= v < g.node_count):
-                violations.append(f"team {k}: source node {v} out of range")
-            elif v in seen_sources:
-                violations.append(f"teams {seen_sources[v]} and {k}: shared source node {v}")
-            else:
-                seen_sources[v] = k
-        if not srcs:
-            violations.append(f"team {k}: empty source set")
-    seen_dests = {}
-    for k, dsts in enumerate(inst.destinations):
-        if len(dsts) != len(set(dsts)):
-            violations.append(f"team {k}: duplicate destination nodes")
-        for v in dsts:
-            if not (0 <= v < g.node_count):
-                violations.append(f"team {k}: destination node {v} out of range")
-            elif not inst.flexible:
-                if v in seen_dests:
+    for kind, node_sets, exclusive in (("source", inst.sources, True),
+                                       ("destination", inst.destinations, not inst.flexible)):
+        owner = {}  # node -> the first team that holds it
+        for k, nodes in enumerate(node_sets):
+            if len(nodes) != len(set(nodes)):
+                violations.append(f"team {k}: duplicate {kind} nodes")
+            for v in nodes:
+                if not (0 <= v < g.node_count):
+                    violations.append(f"team {k}: {kind} node {v} out of range")
+                elif exclusive and v in owner:
+                    violations.append(f"teams {owner[v]} and {k}: shared {kind} node {v}")
+                elif exclusive:
+                    owner[v] = k
+            n_src, n_dst = len(inst.sources[k]), len(nodes)
+            if kind == "source":
+                if not nodes:
+                    violations.append(f"team {k}: empty source set")
+            elif inst.flexible:
+                if n_src > n_dst:
                     violations.append(
-                        f"teams {seen_dests[v]} and {k}: shared destination node {v}")
-                else:
-                    seen_dests[v] = k
-        n_src, n_dst = len(inst.sources[k]), len(dsts)
-        if inst.flexible:
-            if n_src > n_dst:
+                        f"team {k}: {n_src} sources but only {n_dst} destinations")
+            elif n_src != n_dst:
                 violations.append(
-                    f"team {k}: {n_src} sources but only {n_dst} destinations")
-        elif n_src != n_dst:
-            violations.append(
-                f"team {k}: source/destination cardinality mismatch ({n_src} vs {n_dst})")
+                    f"team {k}: source/destination cardinality mismatch ({n_src} vs {n_dst})")
     return violations
 
 

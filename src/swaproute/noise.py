@@ -34,8 +34,8 @@ class NoiseParams:
     ``10**y`` with ``y ~ Normal(log10(cnot_mean), cnot_log10_sigma)``,
     rejection-resampled into ``cnot_bounds``.  T1/T2 (microseconds) use
     linear-space truncated normals.  Sigmas must be finite and >= 0 and the
-    T1/T2 means finite; a zero sigma draws the mean itself, so a T1/T2 mean
-    with a zero sigma must lie within its bounds.
+    T1/T2 means finite; a zero sigma draws the mean itself, so every mean
+    with a zero sigma, the CNOT one too, must lie within its bounds.
     """
 
     cnot_mean: float = 0.001
@@ -49,25 +49,21 @@ class NoiseParams:
     t2_bounds: tuple[float, float] = (6.0, 321.0)
 
     def __post_init__(self):
-        for name, (lo, hi) in (("cnot_bounds", self.cnot_bounds),
-                               ("t1_bounds", self.t1_bounds),
-                               ("t2_bounds", self.t2_bounds)):
-            if not (0.0 <= lo < hi):
-                raise NoiseError(f"{name} must satisfy 0 <= lo < hi, got ({lo}, {hi})")
-        for name, sig in (("cnot_log10_sigma", self.cnot_log10_sigma),
-                          ("t1_sigma", self.t1_sigma), ("t2_sigma", self.t2_sigma)):
-            if not 0 <= sig < math.inf:
-                raise NoiseError(f"{name} must be finite and >= 0, got {sig}")
         if not (0.0 < self.cnot_mean < 1.0):
             raise NoiseError(f"cnot_mean must be in (0, 1), got {self.cnot_mean}")
-        for name, mean, sig, (lo, hi) in (("t1", self.t1_mean, self.t1_sigma, self.t1_bounds),
-                                          ("t2", self.t2_mean, self.t2_sigma, self.t2_bounds)):
+        for name, sigma in (("cnot", "cnot_log10_sigma"), ("t1", "t1_sigma"), ("t2", "t2_sigma")):
+            mean, sig = getattr(self, f"{name}_mean"), getattr(self, sigma)
+            lo, hi = getattr(self, f"{name}_bounds")
+            if not (0.0 <= lo < hi):
+                raise NoiseError(f"{name}_bounds must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+            if not 0 <= sig < math.inf:
+                raise NoiseError(f"{sigma} must be finite and >= 0, got {sig}")
             if not math.isfinite(mean):
                 raise NoiseError(f"{name}_mean must be finite, got {mean}")
             # a zero sigma draws nothing but the mean
             if sig == 0 and not lo <= mean <= hi:
                 raise NoiseError(f"{name}_mean {mean} lies outside {name}_bounds ({lo}, {hi}) "
-                                 f"and {name}_sigma is 0")
+                                 f"and {sigma} is 0")
 
 
 #: Parameters matching current IBM Quantum Heron device calibration data.
@@ -115,13 +111,12 @@ def _truncated_draw(rng, mean, sigma, lo, hi, log10=False):
     drawing nothing, when sigma is 0."""
     # Bounds are treated as inclusive except a zero lower bound, which the
     # positive-support draws never hit anyway.
+    if sigma == 0.0:
+        return mean  # NoiseParams puts a mean with a zero sigma within its bounds
     loc = math.log10(mean) if log10 else mean
     for _ in range(_RESAMPLE_CAP):
-        if sigma == 0.0:
-            v = mean
-        else:
-            v = rng.normal(loc, sigma)
-            v = 10.0 ** v if log10 else v
+        v = rng.normal(loc, sigma)
+        v = 10.0 ** v if log10 else v
         if lo <= v <= hi:
             return v
     raise NoiseError(f"rejection sampling failed to hit bounds ({lo}, {hi}) "

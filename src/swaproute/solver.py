@@ -47,21 +47,24 @@ schedule and the bound of its LP-free planner in the two non-optimal modes.
 incumbent.  ``floor`` is a proven lower bound on the optimum.  ``best_bound``
 is the larger of the floor and the least bound of the open subtrees.  Before
 the root is searched no subtree has a bound, so the floor alone counts; an
-empty stack means an exhausted search only after that.  ``feasible_first``
-returns a start at once.  ``near_optimal`` stops once the incumbent is within
-``NEAR_GAP`` of ``best_bound``, which with a close enough start and floor
-happens before root propagation and HiGHS.  Neither argument changes the
-search order, and a call without them searches as before.
+empty stack means an exhausted search only after that.  Neither argument
+changes the search order, and a call without them searches as before.
+
+The modes differ only in when they stop.  Before the root and before each
+backtrack, ``feasible_first`` takes any incumbent, ``near_optimal`` one within
+``NEAR_GAP`` (relative or absolute) of ``best_bound`` and ``optimal`` none, so
+a close enough start and floor end the search before root propagation.
 
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
-outside ``feasible_first``, the search keeps the root bound z and reduced
-costs d.  A column free at the root and nonbasic at 0 there lifts the bound
-of every solution that sets it to 1 to at least z + d_j.  At the first
-relaxation after each improvement of the incumbent, every such column whose
-z + d_j, less HiGHS's dual feasibility tolerance, reaches the incumbent is
-deleted from the HiGHS model.  The deletion is global, since the root bounds
-every node, and it is never undone, so each later re-solve is smaller.
+in every mode, the search keeps the root bound z and reduced costs d.  A
+column free at the root and nonbasic at 0 there lifts the bound of every
+solution that sets it to 1 to at least z + d_j.  At the first relaxation
+after each improvement of the incumbent, every such column whose z + d_j,
+less HiGHS's dual feasibility tolerance, reaches the incumbent is deleted
+from the HiGHS model (never in ``feasible_first``, which stops at its first
+incumbent).  The deletion is global, since the root bounds every node, and
+it is never undone, so each later re-solve is smaller.
 """
 
 from __future__ import annotations
@@ -373,7 +376,12 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             return max(lowest, min(f[3] for f in stack))
         return max(lowest, inc_obj if searched else -np.inf)
 
-    def near_enough():
+    def accepted():
+        """Whether the mode takes the incumbent without proof of optimality."""
+        if incumbent is None or mode == "optimal":
+            return False
+        if mode == "feasible_first":
+            return True
         gap = inc_obj - best_bound()
         return gap / max(inc_obj, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP
 
@@ -390,8 +398,7 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             nodes=nodes)
 
     lp = None  # built at the first node that leaves a variable free
-    if incumbent is not None and (mode == "feasible_first"
-                                  or mode == "near_optimal" and near_enough()):
+    if accepted():
         return result("feasible")
     nodes = 1  # the root
     prop = _Propagator(model)
@@ -427,7 +434,7 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
                 if np.abs(x - np.round(x))[free].max() <= _INT_TOL:
                     cand = np.where(free, np.round(x), prop.values).astype(np.int8)
                 else:
-                    if nodes == 1 and mode != "feasible_first":
+                    if nodes == 1:
                         # a column nonbasic at 0 costs at least its reduced cost d
                         # more; HiGHS's dual tolerance covers d's own error.  The
                         # solution is fetched again, not kept from bound(): one held
@@ -449,11 +456,9 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             obj = float(c @ cand)
             if obj < inc_obj:
                 incumbent, inc_obj = cand, obj
-                if mode == "feasible_first":
-                    return result("feasible")
         # backtrack to the deepest open branch that the incumbent does not prune
         while True:
-            if mode == "near_optimal" and incumbent is not None and near_enough():
+            if accepted():
                 return result("feasible")
             if not stack:
                 return result("infeasible" if incumbent is None else "optimal")

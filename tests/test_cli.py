@@ -93,6 +93,15 @@ def test_unreadable_instance_is_usage_error(content, tmp_path, capsys):
     assert f"cannot read {path}" in err
 
 
+def test_invalid_instance_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("teams 2\nteam 0 sources 0 dests 1\nteam 1 sources 0 dests 2\n")
+    code, _, err = run_cli(["solve", "--layout", "grid:1x3", "--instance", str(path)],
+                           capsys)
+    assert code == 2
+    assert "error: invalid instance: teams 0 and 1: shared source node 0" in err
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     out_file = tmp_path / "no_such_dir" / "sol.json"
     code, _, err = run_cli(["solve", "--layout", "grid:1x2", "--random", "1",
@@ -307,6 +316,16 @@ def test_oracle_check_bad_counts_are_usage_errors(argv, capsys):
     assert argv[0] in capsys.readouterr().err
 
 
+def test_oracle_check_nodes_max_above_the_oracle_cap_is_usage_error(capsys):
+    cap = oracle._BFS_NODE_CAP
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check", "--nodes-max", str(cap + 1), "--samples", "1"])
+    assert exc.value.code == 2
+    assert f"--nodes-max: must be <= {cap}, the oracle's node cap" in capsys.readouterr().err
+    code, out, _ = run_cli(["oracle-check", "--nodes-max", str(cap), "--samples", "0"], capsys)
+    assert code == 0 and "0 mismatches / 0 samples" in out
+
+
 def test_oracle_check_smallest_graphs(capsys):
     code, out, _ = run_cli(["oracle-check", "--nodes-max", "2", "--samples", "3"], capsys)
     assert code == 0
@@ -328,6 +347,14 @@ def test_oracle_check_mismatch_exit_code(capsys, monkeypatch):
     assert code == 5
     assert "MISMATCH sample 0" in err
     assert "3 mismatches / 3 samples" in out
+
+
+def test_presolve_out_of_budget_exit_code(capsys):
+    # the single-team presolve itself runs out of time
+    code, _, err = run_cli(["solve", "--layout", "grid:3x3", "--random", "3",
+                            "--presolve", "single_team", "--timeout", "1e-9"], capsys)
+    assert code == 3
+    assert "status=timed_out" in err
 
 
 def test_presolve_timeout_exit_code(capsys):

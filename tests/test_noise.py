@@ -103,6 +103,7 @@ def test_sampled_values_within_bounds():
     ("t2_mean", dict(t2_mean=math.inf)),
     ("t1_mean", dict(t1_sigma=0.0, t1_mean=500.0)),
     ("t2_mean", dict(t2_sigma=0.0, t2_mean=1.0)),
+    ("cnot_mean", dict(cnot_log10_sigma=0.0, cnot_mean=0.9, cnot_bounds=(0.001, 0.01))),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
 def test_unsatisfiable_params_rejected_at_construction(field, kwargs):
     with pytest.raises(NoiseError, match=field):
@@ -115,10 +116,12 @@ def test_zero_sigma_mean_on_a_bound_accepted():
     assert emap.t1 == (310.0, 310.0) and emap.t2 == (6.0, 6.0)
 
 
-def test_impossible_bounds_hit_resample_cap():
+def test_impossible_bounds_hit_resample_cap(monkeypatch):
+    # every draw lands near 0.9, far outside the bounds
+    monkeypatch.setattr(noise, "_RESAMPLE_CAP", 100)
     g = build_grid(1, 2)
-    params = NoiseParams(cnot_mean=0.9, cnot_log10_sigma=0.0, cnot_bounds=(0.001, 0.01))
-    with pytest.raises(NoiseError):
+    params = NoiseParams(cnot_mean=0.9, cnot_log10_sigma=1e-3, cnot_bounds=(0.001, 0.01))
+    with pytest.raises(NoiseError, match="within 100 draws"):
         sample_error_map(g, params, 0)
 
 

@@ -307,6 +307,18 @@ def test_timeout_reports_timed_out():
     assert not sol.solved
 
 
+def test_single_team_presolve_out_of_budget():
+    g = build_grid(3, 3)
+    inst = random_instance(g, 3, "independent", 0)
+    cfg = RouteConfig(presolve="single_team", timeout=1e-9)
+    with pytest.raises(route.PresolveIncomplete) as exc:
+        lower_bound_single_team(g, inst, cfg)
+    assert exc.value.status == "timed_out"
+    sol = solve_mqpf(g, uniform_error_map(g), inst, cfg)
+    assert sol.status == "timed_out"
+    assert sol.paths is None and sol.presolve_bound is None
+
+
 # (layout, qubits, seed) -> depth, near_optimal cost and presolve_bound, with the
 # single-team bound below the hop bound in every case; instance seed s, heron noise
 # seed s + 1000
@@ -555,6 +567,21 @@ def test_planner_walks_avoid_earlier_qubits():
     assert paths == ((1, 1, 2, 2), (3, 2, 1, 0))
     assert not validate(g, inst, route.RoutingSolution("feasible", 3, paths=paths))
     assert floor == pytest.approx(6 * costs.movement_cost(1, 2), abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", ("near_optimal", "feasible_first"))
+def test_planner_below_the_matching_level(mode):
+    # at the hop bound, 2, no matching of qubits to distinct destinations
+    # exists, so the planner gives a floor and no schedule
+    g = build_grid(1, 6)
+    inst = relabeled_path6_instance()
+    costs = movement_costs(g, uniform_error_map(g), "simple")
+    teg, _ = route.model_at_depth(g, inst, costs, lower_bound_dijkstra(g, inst))
+    paths, floor = route.plan_paths(teg, costs)
+    assert paths is None and math.isfinite(floor)
+    sol = solve_mqpf(g, uniform_error_map(g), inst,
+                     RouteConfig(presolve="none", solver=SolverConfig(mode=mode)))
+    assert sol.solved and sol.depth == oracle.bfs_optimal_depth(g, inst) == 4
 
 
 @pytest.mark.parametrize("presolve", ("none", "dijkstra"))
