@@ -1,6 +1,6 @@
 """The outer routing algorithm: depth lower bounds, iterative deepening over
-the time expansion, an LP-free planner that starts the non-optimal solver
-modes, path extraction, validation, and error metrics."""
+the time expansion, an LP-free planner that starts the solver and bounds
+each movement column, path extraction, validation, and error metrics."""
 
 from __future__ import annotations
 
@@ -213,10 +213,11 @@ def _deepen(g, inst, cfg, costs):
     exit goes through ``result``, which sets ``total_s`` and, given the
     solved attempt, fills the paths and their metrics.
 
-    Outside ``optimal`` mode each attempt first runs ``plan_paths`` and hands
-    the solver its schedule as ``start`` (when it finds one) and its bound as
-    ``floor``; the planner's time counts in ``solve_s``.  Whether a depth is
-    feasible does not depend on the start, so the depths tried, the single-
+    Each attempt hands the solver ``plan_start`` as its plan, which the
+    solver calls before the root in the non-optimal modes, and in
+    ``optimal`` mode on models of at least ``solver.PLAN_MIN_COLUMNS``
+    columns; the planner's time counts in ``solve_s``.  Whether a depth is
+    feasible does not depend on the plan, so the depths tried, the single-
     team bound and ``presolve_bound`` are the same in every mode.
     """
     start = time.monotonic()
@@ -259,12 +260,7 @@ def _deepen(g, inst, cfg, costs):
     def attempt(depth):
         teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
         t0 = time.monotonic()
-        planned = {}
-        if cfg.solver.mode != "optimal":
-            paths, floor = plan_paths(teg, costs)
-            planned = dict(floor=floor, start=None if paths is None
-                           else assignment_from_paths(paths, teg, model))
-        res = solve(model, cfg.solver, remaining(), **planned)
+        res = solve(model, cfg.solver, remaining(), lambda: plan_start(teg, model, costs))
         timings["solve_s"] += time.monotonic() - t0
         return res.status, (teg, model, res)
 
@@ -288,7 +284,9 @@ def _deepen(g, inst, cfg, costs):
 def plan_paths(teg, costs):
     """A schedule planned without any LP, and a lower bound on the model optimum.
 
-    Returns ``(paths, floor)`` in the qubit order of ``extract_paths``.
+    Returns ``(paths, floor)`` in the qubit order of ``extract_paths``;
+    ``plan_start`` hands both to the solver, with ``walk_bound``, which
+    extends the floor to a bound per column.
 
     ``floor`` sums, over qubits, the cost of the cheapest walk of ``depth``
     steps from the qubit's source to any destination of its team over the
@@ -312,22 +310,9 @@ def plan_paths(teg, costs):
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     n_moves = len(tab.moves)
-    sources = [s for src in inst.sources for s in src]
-    teams = [k for k, src in enumerate(inst.sources) for _ in src]
-    # per team and step, the cost of each move or inf where the trim drops it;
-    # the last column, at inf, is the padding index of the movement tables, and
-    # its target is any node
-    team_cost = np.full((inst.team_count, depth, n_moves + 1), np.inf)
-    team_cost[..., :n_moves] = np.where(teg.mask, costs.vector(tab.moves), np.inf)
+    sources, teams, team_cost, _, solo = _solo_walks(teg, costs)
+    floor = float(sum(solo.tolist()))
     targets = np.append(tab.targets, 0)
-
-    # per team and node, the cost of the cheapest walk to any of its destinations
-    to_go = np.full((inst.team_count, g.node_count), np.inf)
-    for k, dst in enumerate(inst.destinations):
-        to_go[k, list(dst)] = 0.0
-    for t in reversed(range(depth)):
-        to_go = (team_cost[:, t] + to_go[:, targets])[:, tab.moves_from].min(axis=2)
-    floor = float(sum(to_go[k, s] for k, s in zip(teams, sources)))
 
     level, matched = _match_destinations(g, inst, depth)
     if level is None:
@@ -364,6 +349,72 @@ def plan_paths(teg, costs):
         mine[steps[swapped], moves[swapped] ^ 1] = False
         blocked |= mine
     return tuple(paths), floor
+
+
+def plan_start(teg, model, costs):
+    """The plan ``solver.solve`` takes for ``model``, built from ``teg``:
+    ``plan_paths``'s schedule as an assignment (None when it finds none),
+    its floor, and ``walk_bound`` as a callable (None without a schedule)."""
+    paths, floor = plan_paths(teg, costs)
+    if paths is None:
+        return None, floor, None
+    return assignment_from_paths(paths, teg, model), floor, lambda: walk_bound(teg, costs)
+
+
+def _solo_walks(teg, costs):
+    """The solo-walk tables behind ``plan_paths``'s floor.
+
+    Returns ``(sources, teams, team_cost, to_go, solo)``: per qubit its
+    source and team; per team, step and move the move's cost, inf where the
+    trim drops it, with one more move at inf, the padding index of the
+    movement tables; per step t = 0..depth, team and node the cost of the
+    cheapest walk from that node at t to any destination of the team; and
+    per qubit the cost of its cheapest walk from its source.
+    """
+    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
+    n_moves = len(tab.moves)
+    sources = [s for src in inst.sources for s in src]
+    teams = [k for k, src in enumerate(inst.sources) for _ in src]
+    team_cost = np.full((inst.team_count, depth, n_moves + 1), np.inf)
+    team_cost[..., :n_moves] = np.where(teg.mask, costs.vector(tab.moves), np.inf)
+    targets = np.append(tab.targets, 0)  # the padding move's target is any node
+    to_go = np.full((depth + 1, inst.team_count, g.node_count), np.inf)
+    for k, dst in enumerate(inst.destinations):
+        to_go[depth, k, list(dst)] = 0.0
+    for t in reversed(range(depth)):
+        to_go[t] = (team_cost[:, t] + to_go[t + 1][:, targets])[:, tab.moves_from].min(axis=2)
+    return sources, teams, team_cost, to_go, to_go[0, teams, sources]
+
+
+def walk_bound(teg, costs):
+    """Per column of the model built from ``teg``, a lower bound on the
+    cost of every solution that sets it to 1.
+
+    A solution that moves a team-k qubit along movement m at step t costs at
+    least, for one qubit a of team k, the cheapest walk of a through that
+    move, plus the cheapest solo walks of all other qubits: ``plan_paths``'s
+    floor, less a's solo walk, plus a's walk through the move.  The bound of
+    a movement column is the least of these over the team's qubits (inf when
+    none has such a walk); attachment columns, last in the model, get -inf.
+    """
+    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
+    sources, teams, team_cost, to_go, solo = _solo_walks(teg, costs)
+    floor = sum(solo.tolist())
+    origins, targets = np.append(tab.origins, 0), np.append(tab.targets, 0)
+    # per qubit and node, the cost of its cheapest walk from its source to there
+    reach = np.full((len(sources), g.node_count), np.inf)
+    reach[np.arange(len(sources)), sources] = 0.0
+    # per qubit, step and move, the cost of its cheapest walk through the move
+    through = np.empty((len(sources), depth, len(tab.moves) + 1))
+    for t in range(depth):
+        step = reach[:, origins] + team_cost[teams, t]
+        np.add(step, to_go[t + 1, teams][:, targets], out=through[:, t])
+        reach = step[:, tab.moves_into].min(axis=2)
+    through += (floor - solo)[:, None, None]
+    first = np.cumsum([0] + [len(src) for src in inst.sources[:-1]])
+    bound = np.minimum.reduceat(through[..., :-1], first, axis=0)[teg.mask]
+    n_att = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
+    return np.concatenate([bound, np.full(n_att, -np.inf)])
 
 
 def extract_paths(assignment, teg, model):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from swaproute import bilp, oracle, route, texpand
+from swaproute import bilp, oracle, route, solver, texpand
 from swaproute.graph import HardwareGraph, build_grid, build_layout, distances_from_set
 from swaproute.instance import MqpfInstance, merge_teams, random_instance
 from swaproute.noise import HERON, movement_costs, sample_error_map
@@ -585,17 +585,69 @@ def test_planner_below_the_matching_level(mode):
 
 
 @pytest.mark.parametrize("presolve", ("none", "dijkstra"))
-def test_optimal_mode_never_plans(presolve, monkeypatch):
+def test_optimal_mode_plans_nothing_below_the_size_gate(presolve, monkeypatch):
     def refused(*args):
         raise AssertionError("planner called in optimal mode")
     monkeypatch.setattr(route, "plan_paths", refused)
     g = build_grid(2, 3)
     for seed in range(12):
         inst = random_instance(g, 3, ("independent", "mixed", "single")[seed % 3], seed)
-        assert solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(presolve=presolve)).solved
+        sol = solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(presolve=presolve))
+        assert sol.solved and sol.bilp_vars < solver.PLAN_MIN_COLUMNS
     with pytest.raises(AssertionError, match="planner called"):
         solve_mqpf(g, uniform_error_map(g), inst,
                    RouteConfig(solver=SolverConfig(mode="near_optimal")))
+
+
+@pytest.mark.parametrize("seed", (2, 16))
+def test_optimal_mode_plans_above_the_size_gate(seed, monkeypatch):
+    # criterion-10 seeds: the restricted search returns what the full one does
+    g = build_grid(8, 8)
+    args = (g, sample_error_map(g, HERON, seed + 1000), random_instance(g, 8, "independent", seed),
+            RouteConfig(error_model="extended", timeout=60))
+    calls = []
+    plan = route.plan_paths
+    monkeypatch.setattr(route, "plan_paths", lambda *a: calls.append(1) or plan(*a))
+    planned = solve_mqpf(*args)
+    assert calls and planned.bilp_vars >= solver.PLAN_MIN_COLUMNS
+    calls.clear()
+    monkeypatch.setattr(solver, "PLAN_MIN_COLUMNS", 10**9)
+    full = solve_mqpf(*args)
+    assert not calls and planned.status == full.status == "optimal"
+    assert (planned.depth, repr(planned.cost), planned.presolve_bound) == (
+        full.depth, repr(full.cost), full.presolve_bound)
+
+
+def test_walk_bound_is_sound_and_the_restricted_search_exact(monkeypatch):
+    # with the size gate at 0, every optimal solve that has a planned start
+    # searches only the columns whose walk bound is below the start's cost
+    monkeypatch.setattr(solver, "PLAN_MIN_COLUMNS", 0)
+    restricted = []
+    restrict = solver._restrict
+    monkeypatch.setattr(solver, "_restrict", lambda model, keep:
+                        restricted.append(not keep.all()) or restrict(model, keep))
+    total = 0
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            costs = movement_costs(g, sample_error_map(g, HERON, seed),
+                                   ("extended", "simple")[seed // 2 % 2])
+            depth = oracle.bfs_optimal_depth(g, inst)
+            teg, model = route.model_at_depth(g, inst, costs, depth)
+            full = solver.solve(model)
+            bound = route.walk_bound(teg, costs)
+            assert bound.shape == (model.var_count,)
+            assert (bound[full.assignment == 1] <= full.objective + 1e-9).all(), seed
+            planned = solver.solve(model, plan=lambda: route.plan_start(teg, model, costs))
+            assert planned.status == full.status == "optimal"
+            assert planned.objective == pytest.approx(full.objective, rel=0, abs=1e-9), seed
+            assert full.objective == pytest.approx(
+                oracle.exhaustive_min_cost(g, costs, inst, depth), rel=0, abs=1e-9), seed
+            total += 1
+    # the others have no planned start (47) or stop at the floor (194)
+    assert total == 300 and len(restricted) == 59 and sum(restricted) == 36
 
 
 def test_result_builds_the_schedule_once(monkeypatch):

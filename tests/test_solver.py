@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from swaproute import bilp, cli, oracle, route, solver, texpand
 from swaproute.bilp import BilpModel, Row
-from swaproute.graph import build_grid
+from swaproute.graph import build_grid, build_layout
 from swaproute.instance import MqpfInstance, random_instance
 from swaproute.noise import HERON, movement_costs, sample_error_map
 from swaproute.solver import SolverConfig, SolverError, export_lp, solve
@@ -261,21 +261,23 @@ def cold_relaxation(model, values, dropped=None):
     return res.fun
 
 
-def desk_model():
-    """Criterion-10 seed 0 (8x8 grid, 8 qubits) at its optimal depth 7."""
+def desk_model(seed=0, depth=7):
+    """Criterion-10 seed ``seed`` (8x8 grid, 8 qubits) at ``depth``, seed 0's
+    optimal depth by default."""
     g = build_grid(8, 8)
-    inst = random_instance(g, 8, "independent", 0)
-    costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
-    return bilp.build_model(texpand.trim(texpand.expand(g, inst, 7)), costs)
+    inst = random_instance(g, 8, "independent", seed)
+    costs = movement_costs(g, sample_error_map(g, HERON, seed + 1000), "extended")
+    return bilp.build_model(texpand.trim(texpand.expand(g, inst, depth)), costs)
 
 
 def check_dive(model, drop):
     """With ``drop``, three fractional root columns and a third of the root
-    zeros outside the dive leave HiGHS at the root, and another third at
-    step 5; the bounds must then match a cold LP with those columns held at
-    0, and ``x`` must be 0 on them.  The dive then backtracks as the search
-    does, to earlier nodes at once, which frees fixings to 0 and to 1
-    together."""
+    zeros outside the dive are offered for deletion at the root, and another
+    third at step 5.  HiGHS must keep the basic ones, the fractional ones
+    among them, and its basis must stay valid; the bounds must then match a
+    cold LP with the deleted columns held at 0, and ``x`` must be 0 on them.
+    The dive then backtracks as the search does, to earlier nodes at once,
+    which frees fixings to 0 and to 1 together."""
     lp = solver._LpRelaxation(model)
     values = np.full(model.var_count, -1, dtype=np.int8)
     dropped = np.zeros(model.var_count, dtype=bool)
@@ -295,15 +297,22 @@ def check_dive(model, drop):
     def drop_columns(cols):
         mask = np.zeros(model.var_count, dtype=bool)
         mask[cols] = True
+        held = lp.held.copy()
         lp.drop(mask)
-        dropped[mask] = True
+        assert lp.highs.getBasis().valid
+        gone = held & ~lp.held
+        assert gone.any() and not (gone & ~mask).any()
+        dropped[gone] = True
 
     if drop:
         fractional = rng.permutation(np.flatnonzero((x0 > 1e-9) & (x0 < 1 - 1e-9)))
         drop_columns(list(fractional[:3]) + zeros[20::3])
+        assert lp.held[fractional[:3]].all()
+        # the deleted columns were nonbasic at 0, so the root optimum stays
         warm = lp.bound(values)
         assert warm[0] == pytest.approx(cold_relaxation(model, values, dropped), rel=0, abs=1e-9)
-        assert warm[0] > root[0] + 1e-6 and not warm[1][dropped].any()
+        assert warm[0] == pytest.approx(root[0], rel=0, abs=1e-9)
+        assert not warm[1][dropped].any()
 
     def cold_bound():
         """The cold bound of the node ``values``, after checking the warm one against it."""
@@ -640,6 +649,50 @@ def test_root_reduced_cost_fixing_keeps_desk_optima(seed, monkeypatch):
     assert cost["near_optimal"] <= cost["feasible_first"] + 1e-9
 
 
+@pytest.mark.parametrize("layout, qubits, seed",
+                         [("grid:8x8", 8, 2), ("paris27", 10, 0), ("rochester53", 10, 0)])
+def test_optimal_cost_matches_milp_beyond_the_oracle(layout, qubits, seed):
+    # HiGHS's MIP solver as an independent witness on graphs far past the
+    # oracle's 14 nodes; scipy.optimize is imported here only, as the package
+    # itself never loads it
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    g = build_layout(layout)
+    emap = sample_error_map(g, HERON, seed + 1000)
+    inst = random_instance(g, qubits, "independent", seed)
+    sol = route.solve_mqpf(g, emap, inst, route.RouteConfig(error_model="extended", timeout=60))
+    assert sol.status == "optimal"
+    _, model = route.model_at_depth(g, inst, movement_costs(g, emap, "extended"), sol.depth)
+    rows = sp.csr_matrix((model.signs.astype(float), model.indices, model.indptr),
+                         shape=(model.row_count, model.var_count))
+    res = milp(model.objective, integrality=np.ones(model.var_count), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(rows, np.where(model.eq, model.rhs, -np.inf),
+                                            model.rhs),
+               options={"mip_rel_gap": 0})
+    assert res.status == 0, res.message
+    assert sol.cost == pytest.approx(res.fun, rel=0, abs=1e-9)
+
+
+def test_drop_keeps_basic_columns_and_the_warm_basis(monkeypatch):
+    # on criterion-10 seed 16 at its optimal depth 10, a deletion is offered
+    # columns basic in the current basis; deleting them would invalidate it
+    offered_basic, valid = [], []
+    drop = solver._LpRelaxation.drop
+
+    def checked(lp, mask):
+        basic = np.zeros(mask.size, dtype=bool)
+        basic[lp.held] = [s == solver._highs.HighsBasisStatus.kBasic
+                          for s in lp.highs.getBasis().col_status]
+        drop(lp, mask)
+        assert lp.held[mask & basic].all()
+        offered_basic.append(int((mask & basic).sum()))
+        valid.append(lp.highs.getBasis().valid)
+    monkeypatch.setattr(solver._LpRelaxation, "drop", checked)
+    res = solve(desk_model(16, 10))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(DESK_OPTIMA[16], rel=0, abs=1e-9)
+    assert all(valid) and sum(offered_basic) > 0
+
+
 def test_determinism():
     g = build_grid(2, 2)
     inst = random_instance(g, 3, "independent", 5)
@@ -668,6 +721,12 @@ def test_mode_dominance_and_gap_contract():
                 assert rel <= res.gap + 1e-9
 
 
+def given(start, floor=-np.inf):
+    """A plan of ``start`` and ``floor`` for ``solve``, whose walk bound keeps
+    every column."""
+    return lambda: (start, floor, lambda: np.full(start.size, -np.inf))
+
+
 def test_stopped_search_bound_and_gap_hold_against_optimum():
     # a frame left out of the open-subtree bound would overstate best_bound, and
     # so would an empty stack read as a searched root before a started search
@@ -682,7 +741,7 @@ def test_stopped_search_bound_and_gap_hold_against_optimum():
             teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"))
         hints = [{}]
         if paths is not None:
-            hints.append(dict(start=route.assignment_from_paths(paths, teg, model), floor=floor))
+            hints.append(dict(plan=given(route.assignment_from_paths(paths, teg, model), floor)))
         for mode in ("near_optimal", "feasible_first"):
             for hint in hints:
                 res = solve(model, SolverConfig(mode=mode), **hint)
@@ -712,7 +771,7 @@ def planned_desk_model():
 def test_started_solve_within_contract_stops_before_the_root(mode, monkeypatch):
     model, start, floor = planned_desk_model()
     calls = count_lp_builds(monkeypatch)
-    res = solve(model, SolverConfig(mode=mode), start=start, floor=floor)
+    res = solve(model, SolverConfig(mode=mode), plan=given(start, floor))
     gap = res.objective - floor
     assert gap <= solver.NEAR_GAP  # so near_optimal stops at once too
     assert res.status == "feasible" and res.nodes == 0 and not calls
@@ -723,10 +782,10 @@ def test_started_solve_within_contract_stops_before_the_root(mode, monkeypatch):
 def test_started_solve_keeps_searching_outside_contract():
     # with no floor, nothing bounds the start before the root is searched
     model, start, _ = planned_desk_model()
-    res = solve(model, SolverConfig(mode="near_optimal"), start=start)
+    res = solve(model, SolverConfig(mode="near_optimal"), plan=given(start))
     assert res.status == "feasible" and res.nodes >= 1
     assert res.objective <= float(model.objective @ start)
-    optimal = solve(model, start=start)
+    optimal = solve(model, plan=given(start))
     assert optimal.status == "optimal"
     assert optimal.objective == pytest.approx(solve(model).objective, abs=1e-12)
 
@@ -736,7 +795,7 @@ def test_infeasible_start_raises_solver_error():
     model = routing_model(g, random_instance(g, 3, "mixed", 0), 4)
     with pytest.raises(SolverError, match="starting assignment"):
         solve(model, SolverConfig(mode="feasible_first"),
-              start=np.zeros(model.var_count, dtype=np.int8))
+              plan=given(np.zeros(model.var_count, dtype=np.int8)))
 
 
 def test_assignment_satisfies_rows_exactly():
