@@ -117,9 +117,9 @@ def _solve_args(sub):
     src.add_argument("--random", type=int, metavar="N",
                      help="sample a random instance with N abstract qubits")
     p.add_argument("--team-mode", choices=inst_mod.TEAM_MODES, default="independent")
-    p.add_argument("--seed", type=int, default=0, help="instance sampling seed")
+    p.add_argument("--seed", type=_int_in(0), default=0, help="instance sampling seed")
     p.add_argument("--noise", default="heron", help="noise preset name or error-map file")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--noise-seed", type=_int_in(0), default=0)
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="optimal")
     p.add_argument("--error-model", choices=noise.ERROR_MODELS, default="extended")
     p.add_argument("--depth-slack", type=int, default=0)
@@ -194,7 +194,7 @@ def _bench_args(sub):
     p.add_argument("--timeout", type=_positive_seconds, default=3600.0,
                    help="seconds per instance, > 0")
     p.add_argument("--noise-preset", choices=sorted(noise.PRESETS), default="heron")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--jobs", type=_int_in(1), default=1)
     p.set_defaults(func=cmd_bench)
 
@@ -261,7 +261,7 @@ def _oracle_args(sub):
     p.add_argument("--nodes-max", type=_int_in(2, cap, "the oracle's node cap"),
                    default=8, help=f"largest random graph, in nodes (2..{cap})")
     p.add_argument("--samples", type=_int_in(0), default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(func=cmd_oracle_check)
 
 

@@ -281,12 +281,13 @@ def _deepen(g, inst, cfg, costs):
     return result(status, found)
 
 
-def plan_paths(teg, costs):
+def plan_paths(teg, costs, walks=None):
     """A schedule planned without any LP, and a lower bound on the model optimum.
 
     Returns ``(paths, floor)`` in the qubit order of ``extract_paths``;
     ``plan_start`` hands both to the solver, with ``walk_bound``, which
-    extends the floor to a bound per column.
+    extends the floor to a bound per column.  ``walks`` is ``_solo_walks``
+    of ``teg`` and ``costs``, computed here when not given.
 
     ``floor`` sums, over qubits, the cost of the cheapest walk of ``depth``
     steps from the qubit's source to any destination of its team over the
@@ -304,13 +305,15 @@ def plan_paths(teg, costs):
     the qubits routed before it forbid: a move into a node an earlier qubit
     holds at t (exclusivity); a move i -> j, i != j, when the earlier qubit
     on j at t - 1 goes anywhere but i; and a move i -> j, i != j, when an
-    earlier qubit enters i at t from anywhere but j (swap pairing).  Ties go
-    to the lowest move index.  ``paths`` is None when there is no such
-    matching at ``depth`` or some qubit has no walk left.
+    earlier qubit enters i at t from anywhere but j (swap pairing).  The
+    backward pass keeps, per step and node, the move that starts the
+    cheapest walk on from there, ties to the lowest move index, and the
+    walk follows that table from the source.  ``paths`` is None when there
+    is no such matching at ``depth`` or some qubit has no walk left.
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     n_moves = len(tab.moves)
-    sources, teams, team_cost, _, solo = _solo_walks(teg, costs)
+    sources, teams, team_cost, _, solo = walks or _solo_walks(teg, costs)
     floor = float(sum(solo.tolist()))
     targets = np.append(tab.targets, 0)
 
@@ -321,22 +324,26 @@ def plan_paths(teg, costs):
                    key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
     blocked = np.zeros((depth, n_moves + 1), dtype=bool)  # moves the routed qubits forbid
     steps = np.arange(depth)
+    nodes = np.arange(g.node_count)
+    next_node = tab.targets.tolist()
     paths = [None] * len(sources)
     for a in order:
         step_cost = np.where(blocked, np.inf, team_cost[teams[a]])
-        cand = np.empty_like(step_cost)  # per step and move: its cost plus the cost to go
+        # per step and node, the move that starts its cheapest walk on: the first
+        # minimum over the node's ascending moves, so the lowest index on ties
+        best = np.empty((depth, g.node_count), dtype=np.intp)
         to_go = np.full(g.node_count, np.inf)
         to_go[matched[a]] = 0.0
         for t in reversed(range(depth)):
-            np.add(step_cost[t], to_go[targets], out=cand[t])
-            to_go = cand[t][tab.moves_from].min(axis=1)
+            cand = step_cost[t] + to_go[targets]  # per move: its cost plus the cost to go
+            best[t] = tab.moves_from[nodes, cand[tab.moves_from].argmin(axis=1)]
+            to_go = cand[best[t]]
         if to_go[sources[a]] == np.inf:
             return None, floor
         node, moves = sources[a], []
-        for t in range(depth):
-            out = tab.moves_from[node]
-            moves.append(out[np.argmin(cand[t][out])])  # the first minimum: lowest index
-            node = tab.targets[moves[-1]]
+        for best_t in best.tolist():
+            moves.append(best_t[node])
+            node = next_node[moves[-1]]
         moves = np.array(moves, dtype=np.intp)
         u, w = tab.origins[moves], tab.targets[moves]
         paths[a] = (sources[a], *w.tolist())
@@ -354,11 +361,14 @@ def plan_paths(teg, costs):
 def plan_start(teg, model, costs):
     """The plan ``solver.solve`` takes for ``model``, built from ``teg``:
     ``plan_paths``'s schedule as an assignment (None when it finds none),
-    its floor, and ``walk_bound`` as a callable (None without a schedule)."""
-    paths, floor = plan_paths(teg, costs)
+    its floor, and ``walk_bound`` as a callable (None without a schedule).
+    Both share one ``_solo_walks`` table."""
+    walks = _solo_walks(teg, costs)
+    paths, floor = plan_paths(teg, costs, walks)
     if paths is None:
         return None, floor, None
-    return assignment_from_paths(paths, teg, model), floor, lambda: walk_bound(teg, costs)
+    return (assignment_from_paths(paths, teg, model), floor,
+            lambda: walk_bound(teg, costs, walks))
 
 
 def _solo_walks(teg, costs):
@@ -386,9 +396,10 @@ def _solo_walks(teg, costs):
     return sources, teams, team_cost, to_go, to_go[0, teams, sources]
 
 
-def walk_bound(teg, costs):
+def walk_bound(teg, costs, walks=None):
     """Per column of the model built from ``teg``, a lower bound on the
-    cost of every solution that sets it to 1.
+    cost of every solution that sets it to 1.  ``walks`` is as in
+    ``plan_paths``.
 
     A solution that moves a team-k qubit along movement m at step t costs at
     least, for one qubit a of team k, the cheapest walk of a through that
@@ -398,7 +409,7 @@ def walk_bound(teg, costs):
     none has such a walk); attachment columns, last in the model, get -inf.
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    sources, teams, team_cost, to_go, solo = _solo_walks(teg, costs)
+    sources, teams, team_cost, to_go, solo = walks or _solo_walks(teg, costs)
     floor = sum(solo.tolist())
     origins, targets = np.append(tab.origins, 0), np.append(tab.targets, 0)
     # per qubit and node, the cost of its cheapest walk from its source to there

@@ -20,17 +20,17 @@ call builds its LP only at the first node that leaves a variable free.  The
 relaxations are warm-started on scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core``, hence scipy >= 1.15): the call hands its
 CSR arrays once to the array overload of ``passModel`` and, at each node,
-sets the bounds of every column it holds in one call before re-solving from
-the previous basis.  A binding that is missing fails the import, and one
-whose ``passModel`` takes no arrays raises ``SolverError``.  Each re-solve
-runs with a HiGHS time limit of the time left of ``solve``'s ``deadline``
-(none without one), and one that hits it ends the solve as
-``deadline_exceeded``.  The HiGHS objects outlive their relaxations:
-``solve`` hands its object, its model and basis cleared with ``clearModel``
-and its options kept, to a per-process list of idle objects when it returns
-a result, and the next relaxation takes one from there instead of
-constructing its own.  A relaxation built anywhere else, or one whose solve
-raises, is dropped with its object.
+sets in one call the bounds of the held columns whose fixing changed since
+the last re-solve, then re-solves from the previous basis.  A binding that
+is missing fails the import, and one whose ``passModel`` takes no arrays
+raises ``SolverError``.  Each re-solve runs with a HiGHS time limit of the
+time left of ``solve``'s ``deadline`` (none without one), and one that hits
+it ends the solve as ``deadline_exceeded``.  The HiGHS objects outlive their
+relaxations: ``solve`` hands its object, its model and basis cleared with
+``clearModel`` and its options kept, to a per-process list of idle objects
+when it returns a result, and the next relaxation takes one from there
+instead of constructing its own.  A relaxation built anywhere else, or one
+whose solve raises, is dropped with its object.
 
 The binding is the only part of scipy the solver uses, and ``_load_highs``
 loads that extension module by itself: it is found on the path of the
@@ -78,11 +78,12 @@ solution that sets it to 1 to at least z + d_j.  At the first relaxation
 after each improvement of the incumbent, every such column whose z + d_j,
 less HiGHS's dual feasibility tolerance, reaches the incumbent is deleted
 from the HiGHS model (never in ``feasible_first``, which stops at its first
-incumbent), unless it is basic in the current basis: deleting a basic column
-invalidates the basis and starts the next re-solve cold, so such a column
-stays in the LP, where it is harmless, until a later deletion.  The deletion
-is global, since the root bounds every node, and it is never undone, so each
-later re-solve is smaller.
+incumbent), unless its dual in the current solution is exactly 0, as every
+basic column's is: deleting a basic column invalidates the basis and starts
+the next re-solve cold, so such a column stays in the LP, where it is
+harmless, until a later deletion.  The deletion is global, since the root
+bounds every node, and it is never undone, so each later re-solve is
+smaller.
 """
 
 from __future__ import annotations
@@ -281,21 +282,25 @@ class _LpRelaxation:
     """The LP relaxation of one model, kept alive in HiGHS for a whole search.
 
     The model's CSR rows go to HiGHS as they are.  Each node sets the bounds
-    of every column HiGHS holds in one call, [v, v] where it fixes the
-    column to v and [0, 1] where it leaves it free, and re-solves with the
-    dual simplex from the previous basis.  ``drop`` deletes nonbasic columns
-    from the HiGHS model for the rest of the search: from then on every
-    relaxation holds them at 0, a node that fixes one of them to 1 is
-    infeasible, and no deletion is ever undone.  ``held`` masks the model
-    ordinals HiGHS still holds, in order, since deletion keeps the rest in
-    order: ``bound`` gathers the fixings through it and scatters the
-    solution back, with zeros at the dropped columns.  The HiGHS object comes from the idle list
-    when it holds one, and ``release`` gives it back there.
+    of the columns HiGHS holds whose fixing differs from the one last sent,
+    [v, v] where it fixes the column to v and [0, 1] where it leaves it free,
+    and re-solves with the dual simplex from the previous basis.  ``sent``
+    keeps those fixings, one int8 per held column (-1 = free), so a node pays
+    for what changed since the last re-solve, whatever the fixings it passes.
+    ``drop`` deletes nonbasic columns from the HiGHS model for the rest of
+    the search: from then on every relaxation holds them at 0, a node that
+    fixes one of them to 1 is infeasible, and no deletion is ever undone.
+    ``held`` masks the model ordinals HiGHS still holds, in order, since
+    deletion keeps the rest in order: ``bound`` gathers the fixings through
+    it and scatters the solution back, with zeros at the dropped columns.
+    The HiGHS object comes from the idle list when it holds one, and
+    ``release`` gives it back there.
     """
 
     def __init__(self, model):
         n = model.var_count
         self.held = np.ones(n, dtype=bool)
+        self.sent = np.full(n, -1, dtype=np.int8)
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
         try:
@@ -327,18 +332,24 @@ class _LpRelaxation:
         """Deletes the columns of the model ordinals in ``mask`` that are
         nonbasic in the current basis from HiGHS.  Deleting a basic column
         would invalidate the basis and start the next re-solve cold, so the
-        basic ones stay held until a later call."""
+        basic ones stay held until a later call.  A basic column's dual is
+        exactly 0, so only columns with a nonzero dual are deleted: a
+        nonbasic one whose dual is 0 stays held too, which is always safe,
+        and so does every column when HiGHS holds no valid duals."""
         gone = mask[self.held]
         if not gone.any():
             return
-        basic = _highs.HighsBasisStatus.kBasic
-        gone &= [s != basic for s in self.highs.getBasis().col_status]
+        solution = self.highs.getSolution()
+        if not solution.dual_valid:
+            return
+        gone &= np.asarray(solution.col_dual) != 0.0
         at = np.flatnonzero(gone).astype(np.int32)
         if not at.size:
             return
         if self.highs.deleteCols(at.size, at) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS could not delete LP columns")
         self.held[np.flatnonzero(self.held)[at]] = False
+        self.sent = self.sent[~gone]
 
     def bound(self, values, time_left=math.inf):
         """Relaxation of the subproblem with ``values`` fixed (-1 = free) and
@@ -351,8 +362,12 @@ class _LpRelaxation:
         if (values[~self.held] == 1).any():
             return None
         values = values[self.held]
-        self.highs.changeColsBounds(values.size, np.arange(values.size, dtype=np.int32),
-                                    (values == 1).astype(float), (values != 0).astype(float))
+        changed = np.flatnonzero(values != self.sent).astype(np.int32)
+        if changed.size:
+            fixed = values[changed]
+            self.highs.changeColsBounds(changed.size, changed, (fixed == 1).astype(float),
+                                        (fixed != 0).astype(float))
+            self.sent = values
         # HiGHS holds the limit against its run time summed over every run
         self.highs.setOptionValue("time_limit", self.highs.getRunTime() + max(time_left, 0.0))
         self.highs.run()

@@ -232,6 +232,19 @@ def test_bench_jobs_below_one_is_usage_error(jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--layout", "grid:1x2", "--random", "2", "--seed", "-1"],
+    ["solve", "--layout", "grid:1x2", "--random", "2", "--noise-seed", "-1"],
+    ["bench", "--layout", "grid:1x2", "--qubits", "1", "--seed", "-1"],
+    ["oracle-check", "--samples", "1", "--seed", "-1"]])
+def test_negative_seed_is_usage_error(argv, capsys):
+    # numpy's default_rng takes no negative seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_bench_parallel_rows_match_serial(capsys, monkeypatch):
     """The serial run leaves an idle HiGHS object in the parent, and the
     forked workers inherit it."""

@@ -4,12 +4,13 @@ import math
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swaproute import bilp, oracle, route, solver, texpand
 from swaproute.graph import HardwareGraph, build_grid, build_layout, distances_from_set
 from swaproute.instance import MqpfInstance, merge_teams, random_instance
-from swaproute.noise import HERON, movement_costs, sample_error_map
+from swaproute.noise import HERON, MovementCosts, movement_costs, sample_error_map
 from swaproute.route import (RouteConfig, RouteError, lower_bound_dijkstra,
                              lower_bound_matching, lower_bound_single_team, metrics,
                              schedule_from_paths, solution_to_json, solve_mqpf,
@@ -552,6 +553,94 @@ def test_planned_schedules_are_feasible_and_floor_is_below_oracle_cost():
             assert float(model.objective @ x) == pytest.approx(metrics(paths, costs)["cost"],
                                                                abs=1e-12)
     assert total == 300 and planned >= 250  # the planner finds 253
+
+
+def stepwise_plan_paths(teg, costs):
+    """Reference for ``route.plan_paths``: the same planner, with the walk read
+    step by step from the whole backward table (the first minimum over the
+    node's ascending moves at each step)."""
+    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
+    sources, teams, team_cost, _, solo = route._solo_walks(teg, costs)
+    floor = float(sum(solo.tolist()))
+    targets = np.append(tab.targets, 0)
+    level, matched = route._match_destinations(g, inst, depth)
+    if level is None:
+        return None, floor
+    order = sorted(range(len(sources)),
+                   key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
+    blocked = np.zeros((depth, len(tab.moves) + 1), dtype=bool)
+    steps = np.arange(depth)
+    paths = [None] * len(sources)
+    for a in order:
+        step_cost = np.where(blocked, np.inf, team_cost[teams[a]])
+        cand = np.empty_like(step_cost)
+        to_go = np.full(g.node_count, np.inf)
+        to_go[matched[a]] = 0.0
+        for t in reversed(range(depth)):
+            np.add(step_cost[t], to_go[targets], out=cand[t])
+            to_go = cand[t][tab.moves_from].min(axis=1)
+        if to_go[sources[a]] == np.inf:
+            return None, floor
+        node, moves = sources[a], []
+        for t in range(depth):
+            out = tab.moves_from[node]
+            moves.append(out[np.argmin(cand[t][out])])
+            node = tab.targets[moves[-1]]
+        moves = np.array(moves, dtype=np.intp)
+        u, w = tab.origins[moves], tab.targets[moves]
+        paths[a] = (sources[a], *w.tolist())
+        mine = np.zeros_like(blocked)
+        mine[steps[:, None], tab.moves_into[w]] = True
+        mine[steps[:, None], tab.moves_into[u]] = True
+        mine[steps[:, None], tab.moves_from[w]] = True
+        swapped = u != w
+        mine[steps[swapped], moves[swapped] ^ 1] = False
+        blocked |= mine
+    return tuple(paths), floor
+
+
+def test_table_walk_plans_as_the_stepwise_walk():
+    # criterion-1 instances at their optimal depth and one step deeper, and
+    # criterion-10 seeds 0-9 at the matching bound, each also merged into one
+    # team on the unit costs of the single-team presolve
+    cases = []
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            costs = movement_costs(g, sample_error_map(g, HERON, seed),
+                                   ("extended", "simple")[seed // 2 % 2])
+            depth = oracle.bfs_optimal_depth(g, inst)
+            cases += [(g, inst, costs, depth), (g, inst, costs, depth + 1)]
+    desk = build_grid(8, 8)
+    for seed in range(10):
+        inst = random_instance(desk, 8, "independent", seed)
+        costs = movement_costs(desk, sample_error_map(desk, HERON, seed + 1000), "extended")
+        cases.append((desk, inst, costs, lower_bound_matching(desk, inst)))
+    planned = 0
+    for g, inst, costs, depth in cases:
+        unit = MovementCosts("simple", {m: float(m[0] != m[1])
+                                        for m in texpand.graph_tables(g).moves})
+        for inst, costs in ((inst, costs), (merge_teams(inst), unit)):
+            teg, _ = route.model_at_depth(g, inst, costs, depth)
+            paths, floor = route.plan_paths(teg, costs)
+            assert (paths, floor) == stepwise_plan_paths(teg, costs)
+            planned += paths is not None
+    assert len(cases) == 610 and planned == 1094  # of 1220 plans
+
+
+def test_plan_start_computes_the_solo_walks_once(monkeypatch):
+    calls = []
+    solo_walks = route._solo_walks
+    monkeypatch.setattr(route, "_solo_walks", lambda *a: calls.append(1) or solo_walks(*a))
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", 0)
+    costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
+    teg, model = route.model_at_depth(g, inst, costs, 7)
+    start, floor, walk_bound = route.plan_start(teg, model, costs)
+    assert start is not None and walk_bound().shape == (model.var_count,)
+    assert len(calls) == 1
 
 
 def test_planner_walks_avoid_earlier_qubits():

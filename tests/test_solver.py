@@ -270,6 +270,21 @@ def desk_model(seed=0, depth=7):
     return bilp.build_model(texpand.trim(texpand.expand(g, inst, depth)), costs)
 
 
+class CountingHighs:
+    """A HiGHS object that appends the column count of each ``changeColsBounds``
+    call to ``counts``."""
+
+    def __init__(self, highs, counts):
+        self._highs, self.counts = highs, counts
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def changeColsBounds(self, n, *args):
+        self.counts.append(n)
+        return self._highs.changeColsBounds(n, *args)
+
+
 def check_dive(model, drop):
     """With ``drop``, three fractional root columns and a third of the root
     zeros outside the dive are offered for deletion at the root, and another
@@ -277,11 +292,29 @@ def check_dive(model, drop):
     among them, and its basis must stay valid; the bounds must then match a
     cold LP with the deleted columns held at 0, and ``x`` must be 0 on them.
     The dive then backtracks as the search does, to earlier nodes at once,
-    which frees fixings to 0 and to 1 together."""
+    which frees fixings to 0 and to 1 together.  Each ``bound`` call must
+    send HiGHS the held columns whose fixing changed since the last call and
+    no others, and HiGHS must then hold the node's fixings."""
     lp = solver._LpRelaxation(model)
+    counts = []
+    lp.highs = CountingHighs(lp.highs, counts)
     values = np.full(model.var_count, -1, dtype=np.int8)
+    last = values.copy()  # the fixings of the previous bound call
     dropped = np.zeros(model.var_count, dtype=bool)
-    root = lp.bound(values)
+
+    def bound(values):
+        changed = int((values != last)[lp.held].sum())
+        counts.clear()
+        res = lp.bound(values)
+        assert sum(counts) == changed
+        last[:] = values
+        held = lp.highs.getLp()
+        fixed = values[lp.held]
+        assert np.array_equal(held.col_lower_, (fixed == 1).astype(float))
+        assert np.array_equal(held.col_upper_, (fixed != 0).astype(float))
+        return res
+
+    root = bound(values)
     assert root[0] == pytest.approx(cold_relaxation(model, values), rel=0, abs=1e-9)
     # fixing variables to a root optimum's 0/1 values keeps that optimum feasible
     x0 = root[1]
@@ -309,14 +342,14 @@ def check_dive(model, drop):
         drop_columns(list(fractional[:3]) + zeros[20::3])
         assert lp.held[fractional[:3]].all()
         # the deleted columns were nonbasic at 0, so the root optimum stays
-        warm = lp.bound(values)
+        warm = bound(values)
         assert warm[0] == pytest.approx(cold_relaxation(model, values, dropped), rel=0, abs=1e-9)
         assert warm[0] == pytest.approx(root[0], rel=0, abs=1e-9)
         assert not warm[1][dropped].any()
 
     def cold_bound():
         """The cold bound of the node ``values``, after checking the warm one against it."""
-        warm, cold = lp.bound(values), cold_relaxation(model, values, dropped)
+        warm, cold = bound(values), cold_relaxation(model, values, dropped)
         if cold is None:
             assert warm is None
         else:
@@ -353,7 +386,7 @@ def check_dive(model, drop):
     if drop:
         # a node that fixes a dropped column to 1 is infeasible
         values[np.flatnonzero(dropped)[0]] = 1
-        assert lp.bound(values) is None and cold_relaxation(model, values, dropped) is None
+        assert bound(values) is None and cold_relaxation(model, values, dropped) is None
 
 
 def test_warm_relaxation_matches_cold_along_dive():
@@ -672,25 +705,48 @@ def test_optimal_cost_matches_milp_beyond_the_oracle(layout, qubits, seed):
     assert sol.cost == pytest.approx(res.fun, rel=0, abs=1e-9)
 
 
-def test_drop_keeps_basic_columns_and_the_warm_basis(monkeypatch):
-    # on criterion-10 seed 16 at its optimal depth 10, a deletion is offered
-    # columns basic in the current basis; deleting them would invalidate it
-    offered_basic, valid = [], []
+def checked_drops(monkeypatch):
+    """Wraps ``_LpRelaxation.drop`` from here on: after each call the basis
+    must be valid and every deleted column must have been nonbasic by
+    ``getBasis().col_status``.  Returns one (offered basic, deleted) pair per
+    call."""
+    calls = []
     drop = solver._LpRelaxation.drop
 
     def checked(lp, mask):
         basic = np.zeros(mask.size, dtype=bool)
         basic[lp.held] = [s == solver._highs.HighsBasisStatus.kBasic
                           for s in lp.highs.getBasis().col_status]
+        held = lp.held.copy()
         drop(lp, mask)
-        assert lp.held[mask & basic].all()
-        offered_basic.append(int((mask & basic).sum()))
-        valid.append(lp.highs.getBasis().valid)
+        assert lp.highs.getBasis().valid
+        assert not (held & ~lp.held & basic).any()
+        calls.append((int((mask & basic).sum()), int((held & ~lp.held).sum())))
     monkeypatch.setattr(solver._LpRelaxation, "drop", checked)
+    return calls
+
+
+def test_drop_keeps_basic_columns_and_the_warm_basis(monkeypatch):
+    # on criterion-10 seed 16 at its optimal depth 10, a deletion is offered
+    # columns basic in the current basis; deleting them would invalidate it
+    calls = checked_drops(monkeypatch)
     res = solve(desk_model(16, 10))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(DESK_OPTIMA[16], rel=0, abs=1e-9)
-    assert all(valid) and sum(offered_basic) > 0
+    assert sum(basic for basic, _ in calls) > 0
+
+
+@pytest.mark.parametrize("seed", (0, 14, 16))
+def test_drop_deletes_only_nonbasic_columns_in_route_searches(seed, monkeypatch):
+    # the optimal-mode searches of route, planned starts and restrictions
+    # included; drop reads the basis from the duals, this test from the enum
+    calls = checked_drops(monkeypatch)
+    g = build_grid(8, 8)
+    sol = route.solve_mqpf(g, sample_error_map(g, HERON, seed + 1000),
+                           random_instance(g, 8, "independent", seed),
+                           route.RouteConfig(error_model="extended", timeout=60))
+    assert sol.status == "optimal"
+    assert sum(deleted for _, deleted in calls) > 0
 
 
 def test_determinism():
