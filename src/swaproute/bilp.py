@@ -10,7 +10,7 @@ over all of them drops the rows that are empty or that binarity satisfies.
 Rows keep a fixed order (family, then timestep, team, node or edge) and so do
 variables (movements by team, timestep and movement, then attachments), so an
 expansion always gives a byte-identical model.  Names are never built for the
-solver: ``rows`` and ``var_ids`` are views derived on first use.
+solver: ``rows`` is a view derived on first use.
 """
 
 from __future__ import annotations
@@ -81,13 +81,6 @@ class BilpModel:
                      for (f, a, b, c), eq, rhs, lo, m, hi in zip(
                          self.derive_row_keys().tolist(), self.eq.tolist(), self.rhs.tolist(),
                          ptr, mid.tolist(), ptr[1:]))
-
-    @cached_property
-    def var_ids(self) -> tuple:
-        """("move", k, t, i, j), ("src", k, i) or ("dst", k, i) per variable."""
-        return tuple(("move", k, t, i, j) if kind == MOVE else
-                     ("src" if kind == SRC else "dst", k, i)
-                     for kind, k, t, i, j in self.var_keys.tolist())
 
     def var_name(self, ordinal: int) -> str:
         key = self.var_keys[ordinal].tolist()

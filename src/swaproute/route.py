@@ -165,10 +165,10 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=SolverConfig(mode="feasible_first"))
     unit = {(i, j): float(i != j) for i, j in texpand.graph_tables(g).moves}
-    sol = _deepen(g, relaxed, sub, MovementCosts("simple", unit))
-    if not sol.solved:
-        raise PresolveIncomplete(sol.status)
-    return sol.depth
+    status, _, found, _ = _deepen(g, relaxed, sub, MovementCosts("simple", unit))
+    if found is None:
+        raise PresolveIncomplete(status)
+    return found[0].depth
 
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:
@@ -179,7 +179,17 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     if violations:
         raise RouteError("invalid instance: " + "; ".join(violations))
     costs = movement_costs(g, emap, cfg.error_model)
-    return _deepen(g, inst, cfg, costs)
+    start = time.monotonic()
+    status, bound, found, timings = _deepen(g, inst, cfg, costs)
+    fields = {}
+    if found is not None:
+        teg, model, res = found
+        teams, paths = extract_paths(res.assignment, teg, model)
+        fields = dict(depth=teg.depth, teams=teams, paths=paths, **metrics(paths, costs),
+                      solver_status=status, solver_gap=res.gap,
+                      bilp_vars=model.var_count, bilp_rows=model.row_count)
+    timings["total_s"] = time.monotonic() - start
+    return RoutingSolution(status, presolve_bound=bound, timings=timings, **fields)
 
 
 def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
@@ -209,9 +219,11 @@ def _deepen(g, inst, cfg, costs):
     hop bound or the single-team bound.  When no matching exists the
     instance is infeasible at every depth and the result is
     ``infeasible_up_to_cap`` at once, before any single-team presolve.
-    ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.  Every
-    exit goes through ``result``, which sets ``total_s`` and, given the
-    solved attempt, fills the paths and their metrics.
+    ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.
+    Returns ``(status, presolve_bound, found, timings)``: ``found`` is the
+    solved attempt as ``(teg, model, SolveResult)``, None unless the status
+    is ``optimal`` or ``feasible``, and nothing is decoded here, so the
+    single-team presolve, which reads only the depth, pays for no paths.
 
     Each attempt hands the solver ``plan_start`` as its plan, which the
     solver calls before the root in the non-optimal modes, and in
@@ -228,15 +240,7 @@ def _deepen(g, inst, cfg, costs):
         return budget - (time.monotonic() - start)
 
     def result(status, found=None):
-        fields = {}
-        if found is not None:
-            teg, model, res = found
-            teams, paths = extract_paths(res.assignment, teg, model)
-            fields = dict(depth=teg.depth, teams=teams, paths=paths, **metrics(paths, costs),
-                          solver_status=status, solver_gap=res.gap,
-                          bilp_vars=model.var_count, bilp_rows=model.row_count)
-        timings["total_s"] = time.monotonic() - start
-        return RoutingSolution(status, presolve_bound=bound, timings=timings, **fields)
+        return status, bound, found, timings
 
     t0 = time.monotonic()
     bound = first = 0

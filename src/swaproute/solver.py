@@ -20,8 +20,8 @@ call builds its LP only at the first node that leaves a variable free.  The
 relaxations are warm-started on scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core``, hence scipy >= 1.15): the call hands its
 CSR arrays once to the array overload of ``passModel`` and, at each node,
-sets in one call the bounds of the held columns whose fixing changed since
-the last re-solve, then re-solves from the previous basis.  A binding that
+sets in one call the bounds of the columns whose fixing changed since the
+last re-solve, then re-solves from the previous basis.  A binding that
 is missing fails the import, and one whose ``passModel`` takes no arrays
 raises ``SolverError``.  Each re-solve runs with a HiGHS time limit of the
 time left of ``solve``'s ``deadline`` (none without one), and one that hits
@@ -74,16 +74,14 @@ Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
 in every mode, the search keeps the root bound z and reduced costs d.  A
 column free at the root and nonbasic at 0 there lifts the bound of every
-solution that sets it to 1 to at least z + d_j.  At the first relaxation
-after each improvement of the incumbent, every such column whose z + d_j,
-less HiGHS's dual feasibility tolerance, reaches the incumbent is deleted
-from the HiGHS model (never in ``feasible_first``, which stops at its first
-incumbent), unless its dual in the current solution is exactly 0, as every
-basic column's is: deleting a basic column invalidates the basis and starts
-the next re-solve cold, so such a column stays in the LP, where it is
-harmless, until a later deletion.  The deletion is global, since the root
-bounds every node, and it is never undone, so each later re-solve is
-smaller.
+solution that sets it to 1 to at least z + d_j.  Once z + d_j, less HiGHS's
+dual feasibility tolerance, reaches the incumbent, every later relaxation
+bounds the column to [0, 0].  That is a bound change like any node's
+fixing, so the column stays in the LP and the warm basis stays valid,
+whether the column is basic or not.  The root bounds every node, so the
+rule holds in the whole tree, and since the incumbent only improves, the
+set of such columns only grows.  ``feasible_first`` stops at its first
+incumbent, so the rule never applies there.
 """
 
 from __future__ import annotations
@@ -94,8 +92,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -281,25 +278,22 @@ class _LpTimeLimit(Exception):
 class _LpRelaxation:
     """The LP relaxation of one model, kept alive in HiGHS for a whole search.
 
-    The model's CSR rows go to HiGHS as they are.  Each node sets the bounds
-    of the columns HiGHS holds whose fixing differs from the one last sent,
-    [v, v] where it fixes the column to v and [0, 1] where it leaves it free,
-    and re-solves with the dual simplex from the previous basis.  ``sent``
-    keeps those fixings, one int8 per held column (-1 = free), so a node pays
-    for what changed since the last re-solve, whatever the fixings it passes.
-    ``drop`` deletes nonbasic columns from the HiGHS model for the rest of
-    the search: from then on every relaxation holds them at 0, a node that
-    fixes one of them to 1 is infeasible, and no deletion is ever undone.
-    ``held`` masks the model ordinals HiGHS still holds, in order, since
-    deletion keeps the rest in order: ``bound`` gathers the fixings through
-    it and scatters the solution back, with zeros at the dropped columns.
-    The HiGHS object comes from the idle list when it holds one, and
-    ``release`` gives it back there.
+    The model's CSR rows go to HiGHS as they are, and every column stays
+    there until the search ends.  Each node sets the bounds of the columns
+    whose fixing differs from the one last sent, [v, v] where it fixes the
+    column to v, [0, 0] where it leaves free a column of ``zero`` and [0, 1]
+    where it leaves free any other, and re-solves with the dual simplex from
+    the previous basis.  ``sent`` keeps those fixings, one int8 per column
+    (-1 = free), so a node pays for what changed since the last re-solve,
+    whatever the fixings it passes.  ``zero`` masks the columns that the
+    search rules out by reduced costs (see the module docstring); a node
+    that fixes one of them to 1 is infeasible.  The HiGHS object comes from
+    the idle list when it holds one, and ``release`` gives it back there.
     """
 
     def __init__(self, model):
         n = model.var_count
-        self.held = np.ones(n, dtype=bool)
+        self.zero = np.zeros(n, dtype=bool)
         self.sent = np.full(n, -1, dtype=np.int8)
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
@@ -328,40 +322,17 @@ class _LpRelaxation:
         highs.clearModel()
         _IDLE_HIGHS.append(highs)
 
-    def drop(self, mask):
-        """Deletes the columns of the model ordinals in ``mask`` that are
-        nonbasic in the current basis from HiGHS.  Deleting a basic column
-        would invalidate the basis and start the next re-solve cold, so the
-        basic ones stay held until a later call.  A basic column's dual is
-        exactly 0, so only columns with a nonzero dual are deleted: a
-        nonbasic one whose dual is 0 stays held too, which is always safe,
-        and so does every column when HiGHS holds no valid duals."""
-        gone = mask[self.held]
-        if not gone.any():
-            return
-        solution = self.highs.getSolution()
-        if not solution.dual_valid:
-            return
-        gone &= np.asarray(solution.col_dual) != 0.0
-        at = np.flatnonzero(gone).astype(np.int32)
-        if not at.size:
-            return
-        if self.highs.deleteCols(at.size, at) == _highs.HighsStatus.kError:
-            raise SolverError("HiGHS could not delete LP columns")
-        self.held[np.flatnonzero(self.held)[at]] = False
-        self.sent = self.sent[~gone]
-
     def bound(self, values, time_left=math.inf):
         """Relaxation of the subproblem with ``values`` fixed (-1 = free) and
-        the dropped columns at 0.
+        the columns of ``zero`` at 0.
 
         Returns (bound, x), or None when the subproblem is infeasible.
         Raises ``_LpTimeLimit`` when the solve takes longer than
         ``time_left`` seconds.
         """
-        if (values[~self.held] == 1).any():
+        if (values[self.zero] == 1).any():
             return None
-        values = values[self.held]
+        values = np.where(self.zero, 0, values)
         changed = np.flatnonzero(values != self.sent).astype(np.int32)
         if changed.size:
             fixed = values[changed]
@@ -381,25 +352,7 @@ class _LpRelaxation:
         if status != _highs.HighsModelStatus.kOptimal:
             raise SolverError("LP relaxation failed: "
                               + self.highs.modelStatusToString(status))
-        x = np.zeros(self.held.size)
-        x[self.held] = self.highs.getSolution().col_value
-        return self.highs.getObjectiveValue(), x
-
-
-class _Restricted(NamedTuple):
-    """A model's CSR arrays over a subset of its columns."""
-
-    var_count: int
-    objective: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    signs: np.ndarray
-    eq: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rhs)
+        return self.highs.getObjectiveValue(), np.array(self.highs.getSolution().col_value)
 
 
 def _restrict(model, keep):
@@ -411,9 +364,11 @@ def _restrict(model, keep):
     indptr = np.zeros(np.count_nonzero(rows) + 1, dtype=np.int32)
     np.cumsum(counts[rows], out=indptr[1:])
     ordinal = np.cumsum(keep, dtype=np.int32) - 1
-    return _Restricted(int(np.count_nonzero(keep)), model.objective[keep], indptr,
-                       ordinal[model.indices[kept]], model.signs[kept], model.eq[rows],
-                       model.rhs[rows])
+    return replace(model, var_count=int(np.count_nonzero(keep)),
+                   objective=model.objective[keep], var_keys=model.var_keys[keep],
+                   indptr=indptr, indices=ordinal[model.indices[kept]],
+                   signs=model.signs[kept], eq=model.eq[rows], rhs=model.rhs[rows],
+                   derive_row_keys=lambda: model.derive_row_keys()[rows])
 
 
 def _check_assignment(model, x):
@@ -503,9 +458,8 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
     if not prop.propagate_all():
         return result("infeasible")
     # per column, a lower bound from the root's reduced costs on every solution
-    # that sets it to 1 (-inf where none is known), set at a fractional root,
-    # and the incumbent value that columns were last priced out against
-    col_floor, priced = None, np.inf
+    # that sets it to 1 (-inf where none is known), set at a fractional root
+    col_floor = None
 
     while True:
         if time.monotonic() > stop_at:
@@ -517,12 +471,9 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             cand = None
             if lp is None:
                 lp = _LpRelaxation(model)
-            elif col_floor is not None and inc_obj < priced:
-                # no solution that sets these columns to 1 can beat the incumbent;
-                # done here, not when the incumbent improves, so that a search
-                # ending first deletes nothing
-                lp.drop(col_floor >= inc_obj - _OBJ_TOL)
-                priced = inc_obj
+            elif col_floor is not None:
+                # no solution that sets these columns to 1 can beat the incumbent
+                lp.zero = col_floor >= inc_obj - _OBJ_TOL
             try:
                 relaxed = lp.bound(prop.values, stop_at - time.monotonic())
             except _LpTimeLimit:
@@ -535,7 +486,7 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
                     if nodes == 1:
                         # a column nonbasic at 0 costs at least its reduced cost d
                         # more; HiGHS's dual tolerance covers d's own error.  The
-                        # solution is fetched again, not kept from bound(): one held
+                        # solution is fetched again, not kept from bound(): one kept
                         # across re-solves raised desk8x8's peak RSS by about 1.7 MB
                         d = np.asarray(lp.highs.getSolution().col_dual)
                         tol = lp.highs.getOptionValue("dual_feasibility_tolerance")[1]

@@ -173,16 +173,16 @@ def test_one_swap_objective():
     assert res.objective == pytest.approx(-3.0 * math.log(0.999), abs=1e-12)
 
 
-def count_dropped(monkeypatch):
-    """Columns that ``_LpRelaxation.drop`` deletes from here on, one entry per call."""
+def count_priced_out(monkeypatch):
+    """Columns priced out by root reduced costs (``_LpRelaxation.zero``) at
+    each ``_LpRelaxation.bound`` call from here on, one entry per call."""
     counts = []
-    drop = solver._LpRelaxation.drop
+    bound = solver._LpRelaxation.bound
 
-    def counted(lp, mask):
-        held = int(lp.held.sum())
-        drop(lp, mask)
-        counts.append(held - int(lp.held.sum()))
-    monkeypatch.setattr(solver._LpRelaxation, "drop", counted)
+    def counted(lp, *args):
+        counts.append(int(lp.zero.sum()))
+        return bound(lp, *args)
+    monkeypatch.setattr(solver._LpRelaxation, "bound", counted)
     return counts
 
 
@@ -201,7 +201,7 @@ def test_solver_matches_brute_force(monkeypatch):
     """Small routing models, which all solve at the root, then random
     set-packing and set-partitioning models, some of which branch and so
     reach root reduced-cost fixing."""
-    dropped = count_dropped(monkeypatch)
+    priced = count_priced_out(monkeypatch)
     rng = np.random.default_rng(0)
     models = []
     for seed in range(60):
@@ -223,12 +223,12 @@ def test_solver_matches_brute_force(monkeypatch):
         else:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(expect[0], abs=1e-9)
-    assert sum(dropped) > 0
+    assert max(priced) > 0
 
 
-def cold_relaxation(model, values, dropped=None):
+def cold_relaxation(model, values, zero=None):
     """Reference LP bound: rows assembled in Python, one cold ``linprog`` call.
-    Columns in the mask ``dropped`` get upper bound 0."""
+    Columns in the mask ``zero`` get upper bound 0."""
     parts = {"=": ([], [], [], []), "<=": ([], [], [], [])}
     for r in model.rows:
         data, ri, ci, rhs = parts[r.rel]
@@ -247,10 +247,10 @@ def cold_relaxation(model, values, dropped=None):
 
     a_eq, b_eq = matrix("=")
     a_ub, b_ub = matrix("<=")
-    if dropped is None:
-        dropped = np.zeros(model.var_count, dtype=bool)
-    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 or gone else 1.0)
-              for v, gone in zip(values, dropped)]
+    if zero is None:
+        zero = np.zeros(model.var_count, dtype=bool)
+    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 or z else 1.0)
+              for v, z in zip(values, zero)]
     if any(lo > hi for lo, hi in bounds):
         return None
     res = linprog(model.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
@@ -285,33 +285,38 @@ class CountingHighs:
         return self._highs.changeColsBounds(n, *args)
 
 
-def check_dive(model, drop):
-    """With ``drop``, three fractional root columns and a third of the root
-    zeros outside the dive are offered for deletion at the root, and another
-    third at step 5.  HiGHS must keep the basic ones, the fractional ones
-    among them, and its basis must stay valid; the bounds must then match a
-    cold LP with the deleted columns held at 0, and ``x`` must be 0 on them.
-    The dive then backtracks as the search does, to earlier nodes at once,
-    which frees fixings to 0 and to 1 together.  Each ``bound`` call must
-    send HiGHS the held columns whose fixing changed since the last call and
-    no others, and HiGHS must then hold the node's fixings."""
+def check_dive(model, price):
+    """With ``price``, three fractional root columns, which are basic, and a
+    third of the root zeros outside the dive are priced out at the root, and
+    another third at step 5.  The basis must stay valid; the bounds must then
+    match a cold LP with the priced-out columns at upper bound 0, and ``x``
+    must be 0 on them.  The dive then backtracks as the search does, to
+    earlier nodes at once, which frees fixings to 0 and to 1 together.  Each
+    ``bound`` call must send HiGHS the columns whose fixing, with the
+    priced-out ones at 0, changed since the last call and no others, and
+    HiGHS must then hold those fixings.  A node that fixes a priced-out
+    column to 1 is infeasible."""
     lp = solver._LpRelaxation(model)
     counts = []
     lp.highs = CountingHighs(lp.highs, counts)
     values = np.full(model.var_count, -1, dtype=np.int8)
-    last = values.copy()  # the fixings of the previous bound call
-    dropped = np.zeros(model.var_count, dtype=bool)
+    last = values.copy()  # the fixings last sent to HiGHS
+    priced = np.zeros(model.var_count, dtype=bool)
 
     def bound(values):
-        changed = int((values != last)[lp.held].sum())
+        sent = np.where(priced, 0, values)
+        closed = (values[priced] == 1).any()
         counts.clear()
         res = lp.bound(values)
-        assert sum(counts) == changed
-        last[:] = values
+        assert sum(counts) == (0 if closed else int((sent != last).sum()))
+        if closed:
+            assert res is None
+        else:
+            last[:] = sent
         held = lp.highs.getLp()
-        fixed = values[lp.held]
-        assert np.array_equal(held.col_lower_, (fixed == 1).astype(float))
-        assert np.array_equal(held.col_upper_, (fixed != 0).astype(float))
+        assert np.array_equal(held.col_lower_, (last == 1).astype(float))
+        assert np.array_equal(held.col_upper_, (last != 0).astype(float))
+        assert lp.highs.getBasis().valid
         return res
 
     root = bound(values)
@@ -327,41 +332,36 @@ def check_dive(model, drop):
     ones = [v for v in ones if v not in clash]
     zeros = [v for v in zeros if v not in clash]
 
-    def drop_columns(cols):
-        mask = np.zeros(model.var_count, dtype=bool)
-        mask[cols] = True
-        held = lp.held.copy()
-        lp.drop(mask)
-        assert lp.highs.getBasis().valid
-        gone = held & ~lp.held
-        assert gone.any() and not (gone & ~mask).any()
-        dropped[gone] = True
+    def price_out(cols):
+        priced[cols] = True
+        lp.zero = priced.copy()
 
-    if drop:
-        fractional = rng.permutation(np.flatnonzero((x0 > 1e-9) & (x0 < 1 - 1e-9)))
-        drop_columns(list(fractional[:3]) + zeros[20::3])
-        assert lp.held[fractional[:3]].all()
-        # the deleted columns were nonbasic at 0, so the root optimum stays
+    if price:
+        fractional = rng.permutation(np.flatnonzero((x0 > 1e-9) & (x0 < 1 - 1e-9)))[:3]
+        status = lp.highs.getBasis().col_status
+        assert all(status[v] == solver._highs.HighsBasisStatus.kBasic for v in fractional)
+        price_out(list(fractional) + zeros[20::3])
+        # the fractional columns held at 0 move the bound
         warm = bound(values)
-        assert warm[0] == pytest.approx(cold_relaxation(model, values, dropped), rel=0, abs=1e-9)
-        assert warm[0] == pytest.approx(root[0], rel=0, abs=1e-9)
-        assert not warm[1][dropped].any()
+        assert warm[0] == pytest.approx(cold_relaxation(model, values, priced), rel=0, abs=1e-9)
+        assert warm[0] > root[0] + 1e-6
+        assert not warm[1][priced].any()
 
     def cold_bound():
         """The cold bound of the node ``values``, after checking the warm one against it."""
-        warm, cold = bound(values), cold_relaxation(model, values, dropped)
+        warm, cold = bound(values), cold_relaxation(model, values, priced)
         if cold is None:
             assert warm is None
         else:
             assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
-            assert not warm[1][dropped].any()
+            assert not warm[1][priced].any()
         return cold
 
     infeasible = 0
     snapshots = [values.copy()]  # the root, then the nodes after steps 2 and 7
     for step in range(20):
-        if step == 5 and drop:
-            drop_columns(zeros[21::3])
+        if step == 5 and price:
+            price_out(zeros[21::3])
         if step == 10:
             values[list(clash)] = 1
         elif step == 11:
@@ -383,16 +383,16 @@ def check_dive(model, drop):
         values[:] = snapshot
         back = cold_bound()
         assert back is not None and (zeroed is None or zeroed > back + 1e-6)
-    if drop:
-        # a node that fixes a dropped column to 1 is infeasible
-        values[np.flatnonzero(dropped)[0]] = 1
-        assert bound(values) is None and cold_relaxation(model, values, dropped) is None
+    if price:
+        # a node that fixes a priced-out column to 1 is infeasible
+        values[np.flatnonzero(priced)[0]] = 1
+        assert bound(values) is None and cold_relaxation(model, values, priced) is None
 
 
 def test_warm_relaxation_matches_cold_along_dive():
     model = desk_model()
-    for drop in (False, True):
-        check_dive(model, drop)
+    for price in (False, True):
+        check_dive(model, price)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_EXPORTS) + ["desk"])
@@ -615,11 +615,11 @@ def outcome(res):
 
 
 def test_reused_highs_leaves_no_trace(monkeypatch):
-    """One HiGHS object goes through an LP time limit, column deletion and
-    an infeasible LP; solves on it then match solves on fresh objects."""
+    """One HiGHS object goes through an LP time limit, pricing-out and an
+    infeasible LP; solves on it then match solves on fresh objects."""
     rng = np.random.default_rng(0)
     packing = [set_packing_model(rng) for _ in range(10)]
-    dropping, toy = packing[3], packing[9]  # 4 nodes with a deletion; 2 nodes
+    pricing, toy = packing[3], packing[9]  # 4 nodes with pricing-out; 2 nodes
     # no row forces a variable, but the two "= 1" rows overfill the "<= 1" row
     infeasible_lp = toy_model([1.0] * 4, [Row("a", (0, 1), (), "=", 1),
                                           Row("b", (2, 3), (), "=", 1),
@@ -643,8 +643,8 @@ def test_reused_highs_leaves_no_trace(monkeypatch):
     [highs] = pool
     assert highs.getOptionValue("output_flag")[1] is False
     assert highs.getOptionValue("presolve")[1] == "off"
-    dropped = count_dropped(monkeypatch)
-    assert solve(dropping).status == "optimal" and sum(dropped) > 0
+    priced = count_priced_out(monkeypatch)
+    assert solve(pricing).status == "optimal" and max(priced) > 0
     calls = count_lp_builds(monkeypatch)
     res = solve(infeasible_lp)
     assert res.status == "infeasible" and res.nodes == 1 and calls
@@ -663,7 +663,7 @@ DESK_OPTIMA = {0: 0.46290207497436264, 2: 0.4846704401502288,
 
 @pytest.mark.parametrize("seed", sorted(DESK_OPTIMA))
 def test_root_reduced_cost_fixing_keeps_desk_optima(seed, monkeypatch):
-    dropped = count_dropped(monkeypatch)
+    priced = count_priced_out(monkeypatch)
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", seed)
     emap = sample_error_map(g, HERON, seed + 1000)
@@ -677,7 +677,7 @@ def test_root_reduced_cost_fixing_keeps_desk_optima(seed, monkeypatch):
         if mode == "optimal":
             assert sol.status == "optimal"
             assert sol.cost == pytest.approx(DESK_OPTIMA[seed], rel=0, abs=1e-9)
-            assert sum(dropped) > 0
+            assert max(priced) > 0
     assert cost["optimal"] <= cost["near_optimal"] + 1e-9
     assert cost["near_optimal"] <= cost["feasible_first"] + 1e-9
 
@@ -705,48 +705,50 @@ def test_optimal_cost_matches_milp_beyond_the_oracle(layout, qubits, seed):
     assert sol.cost == pytest.approx(res.fun, rel=0, abs=1e-9)
 
 
-def checked_drops(monkeypatch):
-    """Wraps ``_LpRelaxation.drop`` from here on: after each call the basis
-    must be valid and every deleted column must have been nonbasic by
-    ``getBasis().col_status``.  Returns one (offered basic, deleted) pair per
-    call."""
-    calls = []
-    drop = solver._LpRelaxation.drop
+def checked_pricing(monkeypatch):
+    """Checks every ``_LpRelaxation.bound`` call from here on: the basis stays
+    valid and ``x`` is 0 on the priced-out columns.  Returns one entry per
+    call that sends newly priced-out columns: how many of them are basic."""
+    basic_priced = []
+    bound = solver._LpRelaxation.bound
 
-    def checked(lp, mask):
-        basic = np.zeros(mask.size, dtype=bool)
-        basic[lp.held] = [s == solver._highs.HighsBasisStatus.kBasic
-                          for s in lp.highs.getBasis().col_status]
-        held = lp.held.copy()
-        drop(lp, mask)
+    def checked(lp, *args):
+        new = lp.zero & (lp.sent != 0)  # priced out since the last call
+        if new.any():
+            status = lp.highs.getBasis().col_status
+            basic_priced.append(sum(status[v] == solver._highs.HighsBasisStatus.kBasic
+                                    for v in np.flatnonzero(new)))
+        res = bound(lp, *args)
         assert lp.highs.getBasis().valid
-        assert not (held & ~lp.held & basic).any()
-        calls.append((int((mask & basic).sum()), int((held & ~lp.held).sum())))
-    monkeypatch.setattr(solver._LpRelaxation, "drop", checked)
-    return calls
+        assert res is None or not res[1][lp.zero].any()
+        return res
+    monkeypatch.setattr(solver._LpRelaxation, "bound", checked)
+    return basic_priced
 
 
-def test_drop_keeps_basic_columns_and_the_warm_basis(monkeypatch):
-    # on criterion-10 seed 16 at its optimal depth 10, a deletion is offered
-    # columns basic in the current basis; deleting them would invalidate it
-    calls = checked_drops(monkeypatch)
+def test_pricing_out_a_basic_column_keeps_the_warm_basis(monkeypatch):
+    # on criterion-10 seed 16 at its optimal depth 10, columns basic in the
+    # current basis are priced out; held at 0 by their bounds, they leave
+    # the basis valid
+    basic_priced = checked_pricing(monkeypatch)
     res = solve(desk_model(16, 10))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(DESK_OPTIMA[16], rel=0, abs=1e-9)
-    assert sum(basic for basic, _ in calls) > 0
+    assert sum(basic_priced) > 0
 
 
 @pytest.mark.parametrize("seed", (0, 14, 16))
-def test_drop_deletes_only_nonbasic_columns_in_route_searches(seed, monkeypatch):
+def test_route_searches_hold_priced_out_columns_at_zero(seed, monkeypatch):
     # the optimal-mode searches of route, planned starts and restrictions
-    # included; drop reads the basis from the duals, this test from the enum
-    calls = checked_drops(monkeypatch)
+    # included: columns are priced out, and every re-solve after that keeps
+    # a valid basis and leaves them at 0
+    basic_priced = checked_pricing(monkeypatch)
     g = build_grid(8, 8)
     sol = route.solve_mqpf(g, sample_error_map(g, HERON, seed + 1000),
                            random_instance(g, 8, "independent", seed),
                            route.RouteConfig(error_model="extended", timeout=60))
     assert sol.status == "optimal"
-    assert sum(deleted for _, deleted in calls) > 0
+    assert len(basic_priced) > 0
 
 
 def test_determinism():
