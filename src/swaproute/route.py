@@ -1,6 +1,6 @@
 """The outer routing algorithm: depth lower bounds, iterative deepening over
-the time expansion, an LP-free planner that starts the solver and bounds
-each movement column, path extraction, validation, and error metrics."""
+the time expansion, an LP-free planner that starts the solver and narrows
+the expansion, path extraction, validation, and error metrics."""
 
 from __future__ import annotations
 
@@ -14,9 +14,16 @@ import numpy as np
 from . import bilp, texpand
 from .instance import merge_teams, validate as validate_instance
 from .noise import MovementCosts, accumulated_error, movement_costs
-from .solver import SolverConfig, solve
+from .solver import _OBJ_TOL, SolverConfig, solve
 
 PRESOLVES = ("none", "dijkstra", "single_team")
+
+# optimal mode plans only expansions with at least this many columns, movement
+# cells plus attachments.  The tiny1500 models have at most 142 and mostly
+# close by root propagation: with the planner on every attempt a pass took
+# 1.40 s against 1.01 s without it (best of 3 passes, 2-core x86-64).  The
+# desk models have at least 617.
+PLAN_MIN_COLUMNS = 400
 
 
 class RouteError(ValueError):
@@ -192,20 +199,16 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     return RoutingSolution(status, presolve_bound=bound, timings=timings, **fields)
 
 
-def model_at_depth(g, inst, costs, depth, trim=True, timings=None):
-    """The time expansion at ``depth``, reachability-trimmed when ``trim`` is
-    set, and its BILP.  Adds the seconds spent to ``expand_s`` and ``build_s``
-    of ``timings`` when given."""
-    t0 = time.monotonic()
+def expansion_at_depth(g, inst, depth, trim=True):
+    """The time expansion at ``depth``, reachability-trimmed when ``trim`` is set."""
     teg = texpand.expand(g, inst, depth)
-    if trim:
-        teg = texpand.trim(teg)
-    t1 = time.monotonic()
-    model = bilp.build_model(teg, costs)
-    if timings is not None:
-        timings["expand_s"] += t1 - t0
-        timings["build_s"] += time.monotonic() - t1
-    return teg, model
+    return texpand.trim(teg) if trim else teg
+
+
+def model_at_depth(g, inst, costs, depth, trim=True):
+    """``expansion_at_depth`` and its BILP."""
+    teg = expansion_at_depth(g, inst, depth, trim)
+    return teg, bilp.build_model(teg, costs)
 
 
 def _deepen(g, inst, cfg, costs):
@@ -225,12 +228,16 @@ def _deepen(g, inst, cfg, costs):
     is ``optimal`` or ``feasible``, and nothing is decoded here, so the
     single-team presolve, which reads only the depth, pays for no paths.
 
-    Each attempt hands the solver ``plan_start`` as its plan, which the
-    solver calls before the root in the non-optimal modes, and in
-    ``optimal`` mode on models of at least ``solver.PLAN_MIN_COLUMNS``
-    columns; the planner's time counts in ``solve_s``.  Whether a depth is
-    feasible does not depend on the plan, so the depths tried, the single-
-    team bound and ``presolve_bound`` are the same in every mode.
+    Each attempt plans on the trimmed expansion before its model is built
+    (``plan_expansion``): in the non-optimal modes always, and in
+    ``optimal`` mode on expansions of at least ``PLAN_MIN_COLUMNS`` columns.
+    In ``optimal`` mode a planned schedule also narrows the expansion to the
+    cells that can beat it, so the one model built, searched and returned
+    holds only those.  The solver takes the schedule as its start and the
+    planner's floor as a bound, and the planner's time counts in
+    ``solve_s``.  Whether a depth is feasible does not depend on the plan,
+    so the depths tried, the single-team bound and ``presolve_bound`` are
+    the same in every mode.
     """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
@@ -261,11 +268,24 @@ def _deepen(g, inst, cfg, costs):
     if status is not None:
         return result(status)
 
+    optimal = cfg.solver.mode == "optimal"
+    attachments = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
+
     def attempt(depth):
-        teg, model = model_at_depth(g, inst, costs, depth, cfg.trim, timings)
         t0 = time.monotonic()
-        res = solve(model, cfg.solver, remaining(), lambda: plan_start(teg, model, costs))
-        timings["solve_s"] += time.monotonic() - t0
+        teg = expansion_at_depth(g, inst, depth, cfg.trim)
+        t1 = time.monotonic()
+        paths, floor = None, -math.inf
+        if not optimal or teg.mask.sum() + attachments >= PLAN_MIN_COLUMNS:
+            teg, paths, floor = plan_expansion(teg, costs, narrow=optimal)
+        t2 = time.monotonic()
+        model = bilp.build_model(teg, costs)
+        t3 = time.monotonic()
+        start = None if paths is None else assignment_from_paths(paths, teg, model)
+        res = solve(model, cfg.solver, remaining(), start, floor)
+        timings["expand_s"] += t1 - t0
+        timings["build_s"] += t3 - t2
+        timings["solve_s"] += t2 - t1 + time.monotonic() - t3
         return res.status, (teg, model, res)
 
     for depth in range(first, g.node_count ** 2 + 1):
@@ -289,9 +309,9 @@ def plan_paths(teg, costs, walks=None):
     """A schedule planned without any LP, and a lower bound on the model optimum.
 
     Returns ``(paths, floor)`` in the qubit order of ``extract_paths``;
-    ``plan_start`` hands both to the solver, with ``walk_bound``, which
-    extends the floor to a bound per column.  ``walks`` is ``_solo_walks``
-    of ``teg`` and ``costs``, computed here when not given.
+    ``plan_expansion`` narrows the expansion with them and ``walk_bound``,
+    which extends the floor to a bound per cell.  ``walks`` is
+    ``_solo_walks`` of ``teg`` and ``costs``, computed here when not given.
 
     ``floor`` sums, over qubits, the cost of the cheapest walk of ``depth``
     steps from the qubit's source to any destination of its team over the
@@ -362,17 +382,30 @@ def plan_paths(teg, costs, walks=None):
     return tuple(paths), floor
 
 
-def plan_start(teg, model, costs):
-    """The plan ``solver.solve`` takes for ``model``, built from ``teg``:
-    ``plan_paths``'s schedule as an assignment (None when it finds none),
-    its floor, and ``walk_bound`` as a callable (None without a schedule).
-    Both share one ``_solo_walks`` table."""
+def plan_expansion(teg, costs, narrow):
+    """``plan_paths`` on ``teg``, and ``teg`` narrowed to the schedule when
+    ``narrow`` is set and there is one.  Returns ``(teg, paths, floor)``.
+
+    A solution that beats the schedule by more than ``_OBJ_TOL`` sets to 1
+    only cells whose ``walk_bound`` lies below the schedule's cost less
+    ``_OBJ_TOL``.  The narrowed expansion keeps those cells and the
+    schedule's own, whose bound can reach its cost, so its model holds the
+    schedule and every solution that beats it.  The planner and the bound
+    share one ``_solo_walks`` table.
+    """
     walks = _solo_walks(teg, costs)
     paths, floor = plan_paths(teg, costs, walks)
-    if paths is None:
-        return None, floor, None
-    return (assignment_from_paths(paths, teg, model), floor,
-            lambda: walk_bound(teg, costs, walks))
+    if narrow and paths is not None:
+        tab, (_, teams, team_cost, _, _) = teg.tables, walks
+        move_of = np.zeros((teg.graph.node_count,) * 2, dtype=np.intp)
+        move_of[tab.origins, tab.targets] = np.arange(len(tab.moves))
+        p = np.array(paths)
+        planned = np.zeros_like(teg.mask)  # the schedule's own cells
+        planned[np.array(teams)[:, None], np.arange(teg.depth),
+                move_of[p[:, :-1], p[:, 1:]]] = True
+        cost = team_cost[..., :-1][planned].sum()
+        teg = replace(teg, mask=planned | (walk_bound(teg, costs, walks) < cost - _OBJ_TOL))
+    return teg, paths, floor
 
 
 def _solo_walks(teg, costs):
@@ -401,16 +434,16 @@ def _solo_walks(teg, costs):
 
 
 def walk_bound(teg, costs, walks=None):
-    """Per column of the model built from ``teg``, a lower bound on the
-    cost of every solution that sets it to 1.  ``walks`` is as in
-    ``plan_paths``.
+    """Per (team, step, move) cell of ``teg``, shaped as its mask, a lower
+    bound on the cost of every solution that sets the cell's movement
+    column to 1.  ``walks`` is as in ``plan_paths``.
 
     A solution that moves a team-k qubit along movement m at step t costs at
     least, for one qubit a of team k, the cheapest walk of a through that
     move, plus the cheapest solo walks of all other qubits: ``plan_paths``'s
     floor, less a's solo walk, plus a's walk through the move.  The bound of
-    a movement column is the least of these over the team's qubits (inf when
-    none has such a walk); attachment columns, last in the model, get -inf.
+    a cell is the least of these over the team's qubits (inf when none has
+    such a walk, as on every cell the trim drops).
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     sources, teams, team_cost, to_go, solo = walks or _solo_walks(teg, costs)
@@ -427,9 +460,7 @@ def walk_bound(teg, costs, walks=None):
         reach = step[:, tab.moves_into].min(axis=2)
     through += (floor - solo)[:, None, None]
     first = np.cumsum([0] + [len(src) for src in inst.sources[:-1]])
-    bound = np.minimum.reduceat(through[..., :-1], first, axis=0)[teg.mask]
-    n_att = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
-    return np.concatenate([bound, np.full(n_att, -np.inf)])
+    return np.minimum.reduceat(through[..., :-1], first, axis=0)
 
 
 def extract_paths(assignment, teg, model):

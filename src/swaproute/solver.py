@@ -41,34 +41,23 @@ x86-64, scipy 1.17.1).  An extension already imported, as ``scipy.optimize``
 imports it, is reused.  ``linprog`` is a placeholder ``None`` that nothing
 calls, kept because ``perfbench/spans.py`` wraps that name.
 
-A call may pass a ``plan``: a callable, called at most once and before the
-root, that returns a ``start`` assignment (or None), a ``floor`` and a walk
-bound; ``route`` passes its LP-free planner (``route.plan_start``).  The
-two non-optimal modes always call it, and ``optimal`` only on models of at
-least ``PLAN_MIN_COLUMNS`` columns.  ``start`` must pass the exact row check,
-and it becomes the first incumbent.  ``floor`` is a proven lower bound on the
-optimum.  ``best_bound`` is the larger of the floor and the least bound of
-the open subtrees.  Before the root is searched no subtree has a bound, so
-the floor alone counts; an empty stack means an exhausted search only after
-that.  The start and the floor never change the search order, and a call
-without a plan searches as before.
+A call may pass a ``start`` and a ``floor``.  ``start`` must pass the exact
+row check, and it becomes the first incumbent.  ``floor`` is a proven lower
+bound on the optimum.  ``best_bound`` is the larger of the floor and the
+least bound of the open subtrees.  Before the root is searched no subtree
+has a bound, so the floor alone counts; an empty stack means an exhausted
+search only after that.  The start and the floor never change the search
+order, and a call without them searches as before.  ``route`` passes its
+LP-free planner's schedule and floor, and in ``optimal`` mode it has
+already built the model over only the columns that can beat that schedule
+(``route.plan_expansion``), so the solver searches every column it gets.
 
 The modes differ only in when they stop.  Before the root and before each
 backtrack, ``feasible_first`` takes any incumbent, ``near_optimal`` one within
 ``NEAR_GAP`` (relative or absolute) of ``best_bound`` and ``optimal`` none, so
-a close enough start and floor end the search before root propagation.  In
-``optimal`` mode a start within ``_OBJ_TOL`` of the floor is pruned as any
-node would be, and the solve ends ``optimal`` there.
-
-Otherwise, in ``optimal`` mode, the start restricts the search.  The walk
-bound gives per column a lower bound on every solution that sets it to 1, so
-a solution that beats the start by more than ``_OBJ_TOL`` uses only columns
-whose walk bound is below the start's cost less ``_OBJ_TOL``.  Every other
-column that the start leaves at 0 is fixed at 0 and removed, with the rows
-left empty, and the propagator and LP are built on that smaller model only.
-The answer is mapped back to the full model's ordinals and must pass its
-exact row check.  On the ``desk8x8`` corpus this removes about 59% of the
-columns before any LP is built.
+a close enough start and floor end the search before root propagation.  A
+start within ``_OBJ_TOL`` of the floor is pruned as any node would be, and
+the solve ends ``optimal`` there.
 
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
@@ -92,7 +81,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,12 +128,6 @@ MODES = ("optimal", "near_optimal", "feasible_first")
 # near_optimal stops within this, relative or absolute, of the larger of the
 # floor and the open-subtree bound
 NEAR_GAP = 0.08
-
-# optimal mode plans only models with at least this many columns.  The
-# tiny1500 models have at most 142 and mostly close by root propagation: with
-# the planner on every attempt a pass took 1.40 s against 1.01 s without it
-# (best of 3 passes, 2-core x86-64).  The desk models have at least 617.
-PLAN_MIN_COLUMNS = 400
 
 _OBJ_TOL = 1e-9
 _INT_TOL = 1e-6
@@ -355,22 +338,6 @@ class _LpRelaxation:
         return self.highs.getObjectiveValue(), np.array(self.highs.getSolution().col_value)
 
 
-def _restrict(model, keep):
-    """The model with the columns outside the mask ``keep`` fixed at 0: the
-    kept columns renumbered in order and the rows left empty dropped."""
-    kept = keep[model.indices]
-    counts = np.add.reduceat(kept, model.indptr[:-1], dtype=np.int32)
-    rows = counts > 0
-    indptr = np.zeros(np.count_nonzero(rows) + 1, dtype=np.int32)
-    np.cumsum(counts[rows], out=indptr[1:])
-    ordinal = np.cumsum(keep, dtype=np.int32) - 1
-    return replace(model, var_count=int(np.count_nonzero(keep)),
-                   objective=model.objective[keep], var_keys=model.var_keys[keep],
-                   indptr=indptr, indices=ordinal[model.indices[kept]],
-                   signs=model.signs[kept], eq=model.eq[rows], rhs=model.rhs[rows],
-                   derive_row_keys=lambda: model.derive_row_keys()[rows])
-
-
 def _check_assignment(model, x):
     """Exact integer check of every row (rows are never empty)."""
     lhs = np.add.reduceat(x.astype(np.int64)[model.indices] * model.signs, model.indptr[:-1])
@@ -378,38 +345,23 @@ def _check_assignment(model, x):
 
 
 def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
-          plan=None) -> SolveResult:
+          start: np.ndarray | None = None, floor: float = -np.inf) -> SolveResult:
     """Solve a routing BILP by branch and bound, within ``deadline`` seconds if given.
 
-    ``plan``, when given, is called at most once, before the root, and
-    returns ``(start, floor, walk_bound)``: a feasible 0/1 assignment or
-    None, a proven lower bound on the optimum, and a callable that returns
-    per column a lower bound on every solution that sets it to 1.  The
-    start is the first incumbent and ``best_bound`` is never below the
-    floor; neither changes the search order.  In ``optimal`` mode the walk
-    bound restricts the search to the columns that can beat the start.
+    ``start``, when given, is a feasible 0/1 assignment and the first
+    incumbent; ``floor`` is a proven lower bound on the optimum, and
+    ``best_bound`` is never below it.  Neither changes the search order.
     """
-    mode = (cfg or SolverConfig()).mode
+    cfg = cfg or SolverConfig()
     if deadline is not None and math.isnan(deadline):
         raise ValueError("deadline must be a number of seconds, got nan")
     stop_at = time.monotonic() + (math.inf if deadline is None else deadline)
 
-    full, keep = model, None  # keep: the columns searched, when not all of them
-    incumbent = None
-    inc_obj, lowest = np.inf, -np.inf
-    if plan is not None and (mode != "optimal" or model.var_count >= PLAN_MIN_COLUMNS):
-        start, lowest, walk_bound = plan()
-        if start is not None:
-            if not _check_assignment(model, start):
-                raise SolverError("starting assignment failed exact feasibility check")
-            incumbent, inc_obj = start, float(model.objective @ start)
-            if mode == "optimal" and inc_obj - lowest > _OBJ_TOL:
-                # only columns whose walk bound is below the start's cost can
-                # be in a solution that beats it; the start's own stay too
-                keep = (start == 1) | (walk_bound() < inc_obj - _OBJ_TOL)
-                model, incumbent = _restrict(model, keep), start[keep]
-                # summed as the search sums its candidates
-                inc_obj = float(model.objective @ incumbent)
+    incumbent, inc_obj = start, np.inf
+    if start is not None:
+        if not _check_assignment(model, start):
+            raise SolverError("starting assignment failed exact feasibility check")
+        inc_obj = float(model.objective @ start)
     c = model.objective
     nodes = 0
     # open branches: (var, untried value, trail mark, parent bound)
@@ -418,14 +370,14 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
 
     def best_bound():
         if stack:
-            return max(lowest, min(f[3] for f in stack))
-        return max(lowest, inc_obj if searched else -np.inf)
+            return max(floor, min(f[3] for f in stack))
+        return max(floor, inc_obj if searched else -np.inf)
 
     def accepted():
         """Whether the mode takes the incumbent without proof of optimality."""
-        if incumbent is None or mode == "optimal":
+        if incumbent is None or cfg.mode == "optimal":
             return False
-        if mode == "feasible_first":
+        if cfg.mode == "feasible_first":
             return True
         gap = inc_obj - best_bound()
         return gap / max(inc_obj, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP
@@ -433,16 +385,10 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
     def result(status):
         if lp is not None:
             lp.release()
-        assignment = incumbent
-        if keep is not None and incumbent is not None:
-            assignment = np.zeros(full.var_count, dtype=np.int8)
-            assignment[keep] = incumbent
-            if not _check_assignment(full, assignment):
-                raise SolverError("restricted answer failed exact feasibility check")
         bb = best_bound()
         return SolveResult(
             status=status,
-            assignment=assignment,
+            assignment=incumbent,
             objective=None if incumbent is None else float(inc_obj),
             best_bound=float(bb) if np.isfinite(bb) else None,
             gap=max((inc_obj - bb) / max(inc_obj, 1e-12), 0.0) if status == "feasible" else None,
@@ -451,7 +397,7 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
     lp = None  # built at the first node that leaves a variable free
     if accepted():
         return result("feasible")
-    if incumbent is not None and lowest >= inc_obj - _OBJ_TOL:
+    if incumbent is not None and floor >= inc_obj - _OBJ_TOL:
         return result("optimal")  # the floor prunes the root as it would any node
     nodes = 1  # the root
     prop = _Propagator(model)

@@ -15,7 +15,7 @@ from swaproute.route import (RouteConfig, RouteError, lower_bound_dijkstra,
                              lower_bound_matching, lower_bound_single_team, metrics,
                              schedule_from_paths, solution_to_json, solve_mqpf,
                              validate)
-from swaproute.solver import NEAR_GAP, SolverConfig, _check_assignment
+from swaproute.solver import _OBJ_TOL, NEAR_GAP, SolverConfig, _check_assignment
 
 from conftest import build_cycle, random_maybe_flexible_instance, uniform_error_map
 
@@ -86,15 +86,15 @@ def relabeled_path6_instance():
 
 
 def record_depths(monkeypatch, inst):
-    """The depths of the models built for ``inst`` (not for a merged instance)."""
+    """The depths of the expansions built for ``inst`` (not for a merged instance)."""
     tried = []
-    build = route.model_at_depth
+    expand = route.expansion_at_depth
 
-    def recorded(g_, inst_, costs, depth, *args):
+    def recorded(g_, inst_, depth, *args):
         if inst_ is inst:
             tried.append(depth)
-        return build(g_, inst_, costs, depth, *args)
-    monkeypatch.setattr(route, "model_at_depth", recorded)
+        return expand(g_, inst_, depth, *args)
+    monkeypatch.setattr(route, "expansion_at_depth", recorded)
     return tried
 
 
@@ -159,14 +159,17 @@ def single_team_cases():
 
 def test_single_team_bound_pinned(monkeypatch):
     merged_depths, models = [], []
-    build = route.model_at_depth
+    expand, build = route.expansion_at_depth, bilp.build_model
 
-    def recorded(g_, inst_, costs, depth, *args):
+    def recorded(g_, inst_, depth, *args):
         merged_depths.append(depth)
-        teg, model = build(g_, inst_, costs, depth, *args)
-        models.append(model)
-        return teg, model
-    monkeypatch.setattr(route, "model_at_depth", recorded)
+        return expand(g_, inst_, depth, *args)
+
+    def built(teg, costs):
+        models.append(build(teg, costs))
+        return models[-1]
+    monkeypatch.setattr(route, "expansion_at_depth", recorded)
+    monkeypatch.setattr(bilp, "build_model", built)
     for g, inst, bound in single_team_cases():
         merged_depths.clear()
         assert lower_bound_single_team(g, inst) == bound
@@ -341,13 +344,13 @@ def test_single_team_deepening_starts_at_hop_bound(case, monkeypatch):
     cfg = RouteConfig(error_model="extended", presolve="single_team")
     optimum = solve_mqpf(g, emap, inst, cfg).cost
     tried = []
-    build = route.model_at_depth
+    expand = route.expansion_at_depth
 
-    def recorded(g_, inst_, costs, depth, *args):
+    def recorded(g_, inst_, depth, *args):
         if inst_ is inst:  # not the merged instance of the presolve
             tried.append(depth)
-        return build(g_, inst_, costs, depth, *args)
-    monkeypatch.setattr(route, "model_at_depth", recorded)
+        return expand(g_, inst_, depth, *args)
+    monkeypatch.setattr(route, "expansion_at_depth", recorded)
     sol = solve_mqpf(g, emap, inst, replace(cfg, solver=SolverConfig(mode="near_optimal")))
     depth, cost, presolve_bound = SINGLE_TEAM_CASES[case]
     hop_bound = lower_bound_dijkstra(g, inst)
@@ -631,16 +634,17 @@ def test_table_walk_plans_as_the_stepwise_walk():
 
 
 def test_plan_start_computes_the_solo_walks_once(monkeypatch):
-    calls = []
-    solo_walks = route._solo_walks
+    # the planner and the walk bound of an attempt share one table
+    calls, bounds = [], []
+    solo_walks, walk_bound = route._solo_walks, route.walk_bound
     monkeypatch.setattr(route, "_solo_walks", lambda *a: calls.append(1) or solo_walks(*a))
+    monkeypatch.setattr(route, "walk_bound", lambda *a: bounds.append(1) or walk_bound(*a))
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", 0)
-    costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
-    teg, model = route.model_at_depth(g, inst, costs, 7)
-    start, floor, walk_bound = route.plan_start(teg, model, costs)
-    assert start is not None and walk_bound().shape == (model.var_count,)
-    assert len(calls) == 1
+    tried = record_depths(monkeypatch, inst)
+    sol = solve_mqpf(g, sample_error_map(g, HERON, 1000), inst,
+                     RouteConfig(error_model="extended"))
+    assert sol.status == "optimal" and len(calls) == len(tried) and len(bounds) == 1
 
 
 def test_planner_walks_avoid_earlier_qubits():
@@ -682,7 +686,7 @@ def test_optimal_mode_plans_nothing_below_the_size_gate(presolve, monkeypatch):
     for seed in range(12):
         inst = random_instance(g, 3, ("independent", "mixed", "single")[seed % 3], seed)
         sol = solve_mqpf(g, uniform_error_map(g), inst, RouteConfig(presolve=presolve))
-        assert sol.solved and sol.bilp_vars < solver.PLAN_MIN_COLUMNS
+        assert sol.solved and sol.bilp_vars < route.PLAN_MIN_COLUMNS
     with pytest.raises(AssertionError, match="planner called"):
         solve_mqpf(g, uniform_error_map(g), inst,
                    RouteConfig(solver=SolverConfig(mode="near_optimal")))
@@ -698,9 +702,9 @@ def test_optimal_mode_plans_above_the_size_gate(seed, monkeypatch):
     plan = route.plan_paths
     monkeypatch.setattr(route, "plan_paths", lambda *a: calls.append(1) or plan(*a))
     planned = solve_mqpf(*args)
-    assert calls and planned.bilp_vars >= solver.PLAN_MIN_COLUMNS
+    assert calls and planned.bilp_vars >= route.PLAN_MIN_COLUMNS
     calls.clear()
-    monkeypatch.setattr(solver, "PLAN_MIN_COLUMNS", 10**9)
+    monkeypatch.setattr(route, "PLAN_MIN_COLUMNS", 10**9)
     full = solve_mqpf(*args)
     assert not calls and planned.status == full.status == "optimal"
     assert (planned.depth, repr(planned.cost), planned.presolve_bound) == (
@@ -708,14 +712,51 @@ def test_optimal_mode_plans_above_the_size_gate(seed, monkeypatch):
 
 
 def test_walk_bound_is_sound_and_the_restricted_search_exact(monkeypatch):
-    # with the size gate at 0, every optimal solve that has a planned start
-    # searches only the columns whose walk bound is below the start's cost
-    monkeypatch.setattr(solver, "PLAN_MIN_COLUMNS", 0)
-    restricted = []
-    restrict = solver._restrict
-    monkeypatch.setattr(solver, "_restrict", lambda model, keep:
-                        restricted.append(not keep.all()) or restrict(model, keep))
+    # with the size gate at 0, every optimal attempt that has a planned start
+    # searches only the cells whose walk bound is below the start's cost
+    monkeypatch.setattr(route, "PLAN_MIN_COLUMNS", 0)
+    narrowed = []
+    plan = route.plan_expansion
+
+    def recorded(teg, costs, narrow):
+        planned = plan(teg, costs, narrow)
+        if planned[1] is not None:
+            narrowed.append(not np.array_equal(planned[0].mask, teg.mask))
+        return planned
+    monkeypatch.setattr(route, "plan_expansion", recorded)
     total = 0
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            emap = sample_error_map(g, HERON, seed)
+            error_model = ("extended", "simple")[seed // 2 % 2]
+            costs = movement_costs(g, emap, error_model)
+            depth = oracle.bfs_optimal_depth(g, inst)
+            teg, model = route.model_at_depth(g, inst, costs, depth)
+            full = solver.solve(model)
+            bound = route.walk_bound(teg, costs)
+            assert bound.shape == teg.mask.shape
+            moved = full.assignment[:np.count_nonzero(teg.mask)] == 1  # movements come first
+            assert (bound[teg.mask][moved] <= full.objective + 1e-9).all(), seed
+            planned = solve_mqpf(g, emap, inst, RouteConfig(error_model=error_model))
+            assert planned.status == full.status == "optimal" and planned.depth == depth
+            assert planned.cost == pytest.approx(full.objective, rel=0, abs=1e-9), seed
+            assert full.objective == pytest.approx(
+                oracle.exhaustive_min_cost(g, costs, inst, depth), rel=0, abs=1e-9), seed
+            total += 1
+    # the others have no planned start (47); the rest narrow where a cell's
+    # walk bound reaches the start's cost
+    assert total == 300 and len(narrowed) == 253 and sum(narrowed) == 126
+
+
+def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
+    # criterion-1 instances at their optimal depth and criterion-10 seeds 0-9
+    # at the matching bound, against the rule on the full model: a column
+    # stays when the start sets it or its walk bound lies below the start's
+    # cost; attachments, last in the model, have no walk bound and all stay
+    cases = []
     for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
         for seed in range(100):
             inst = random_maybe_flexible_instance(
@@ -723,20 +764,47 @@ def test_walk_bound_is_sound_and_the_restricted_search_exact(monkeypatch):
                 seed % 2 == 1)
             costs = movement_costs(g, sample_error_map(g, HERON, seed),
                                    ("extended", "simple")[seed // 2 % 2])
-            depth = oracle.bfs_optimal_depth(g, inst)
-            teg, model = route.model_at_depth(g, inst, costs, depth)
-            full = solver.solve(model)
-            bound = route.walk_bound(teg, costs)
-            assert bound.shape == (model.var_count,)
-            assert (bound[full.assignment == 1] <= full.objective + 1e-9).all(), seed
-            planned = solver.solve(model, plan=lambda: route.plan_start(teg, model, costs))
-            assert planned.status == full.status == "optimal"
-            assert planned.objective == pytest.approx(full.objective, rel=0, abs=1e-9), seed
-            assert full.objective == pytest.approx(
-                oracle.exhaustive_min_cost(g, costs, inst, depth), rel=0, abs=1e-9), seed
-            total += 1
-    # the others have no planned start (47) or stop at the floor (194)
-    assert total == 300 and len(restricted) == 59 and sum(restricted) == 36
+            cases.append((g, inst, costs, oracle.bfs_optimal_depth(g, inst)))
+    desk = build_grid(8, 8)
+    for seed in range(10):
+        inst = random_instance(desk, 8, "independent", seed)
+        costs = movement_costs(desk, sample_error_map(desk, HERON, seed + 1000), "extended")
+        cases.append((desk, inst, costs, lower_bound_matching(desk, inst)))
+    planned = narrowed = 0
+    for g, inst, costs, depth in cases:
+        teg, model = route.model_at_depth(g, inst, costs, depth)
+        kept, paths, _ = route.plan_expansion(teg, costs, narrow=True)
+        assert route.plan_expansion(teg, costs, narrow=False)[0] is teg
+        if paths is None:
+            assert kept is teg
+            continue
+        start = route.assignment_from_paths(paths, teg, model)
+        cost = float(model.objective @ start)
+        bound = np.full(model.var_count, -np.inf)
+        bound[:np.count_nonzero(teg.mask)] = route.walk_bound(teg, costs)[teg.mask]
+        keys = bilp.build_model(kept, costs).var_keys
+        assert np.array_equal(keys, model.var_keys[(start == 1) | (bound < cost - _OBJ_TOL)])
+        planned += 1
+        narrowed += len(keys) < model.var_count
+    assert (len(cases), planned, narrowed) == (310, 263, 136)
+
+
+def test_bilp_size_counts_the_model_searched():
+    # criterion-10 seed 2 at its optimal depth: optimal mode searches the
+    # narrowed expansion, near_optimal the trimmed one
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", 2)
+    emap = sample_error_map(g, HERON, 1002)
+    _, model = route.model_at_depth(g, inst, movement_costs(g, emap, "extended"), 10)
+    sizes = {}
+    for mode in ("optimal", "near_optimal"):
+        sol = solve_mqpf(g, emap, inst, RouteConfig(error_model="extended", timeout=60,
+                                                    solver=SolverConfig(mode=mode)))
+        assert sol.solved and sol.depth == 10
+        sizes[mode] = sol.bilp_vars, sol.bilp_rows
+    assert sizes["near_optimal"] == (model.var_count, model.row_count)
+    assert model.var_count == 3016 and sizes["optimal"][0] == 2019
+    assert sizes["optimal"][1] < model.row_count
 
 
 def test_result_builds_the_schedule_once(monkeypatch):

@@ -779,12 +779,6 @@ def test_mode_dominance_and_gap_contract():
                 assert rel <= res.gap + 1e-9
 
 
-def given(start, floor=-np.inf):
-    """A plan of ``start`` and ``floor`` for ``solve``, whose walk bound keeps
-    every column."""
-    return lambda: (start, floor, lambda: np.full(start.size, -np.inf))
-
-
 def test_stopped_search_bound_and_gap_hold_against_optimum():
     # a frame left out of the open-subtree bound would overstate best_bound, and
     # so would an empty stack read as a searched root before a started search
@@ -799,7 +793,7 @@ def test_stopped_search_bound_and_gap_hold_against_optimum():
             teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"))
         hints = [{}]
         if paths is not None:
-            hints.append(dict(plan=given(route.assignment_from_paths(paths, teg, model), floor)))
+            hints.append(dict(start=route.assignment_from_paths(paths, teg, model), floor=floor))
         for mode in ("near_optimal", "feasible_first"):
             for hint in hints:
                 res = solve(model, SolverConfig(mode=mode), **hint)
@@ -829,7 +823,7 @@ def planned_desk_model():
 def test_started_solve_within_contract_stops_before_the_root(mode, monkeypatch):
     model, start, floor = planned_desk_model()
     calls = count_lp_builds(monkeypatch)
-    res = solve(model, SolverConfig(mode=mode), plan=given(start, floor))
+    res = solve(model, SolverConfig(mode=mode), start=start, floor=floor)
     gap = res.objective - floor
     assert gap <= solver.NEAR_GAP  # so near_optimal stops at once too
     assert res.status == "feasible" and res.nodes == 0 and not calls
@@ -840,10 +834,10 @@ def test_started_solve_within_contract_stops_before_the_root(mode, monkeypatch):
 def test_started_solve_keeps_searching_outside_contract():
     # with no floor, nothing bounds the start before the root is searched
     model, start, _ = planned_desk_model()
-    res = solve(model, SolverConfig(mode="near_optimal"), plan=given(start))
+    res = solve(model, SolverConfig(mode="near_optimal"), start=start)
     assert res.status == "feasible" and res.nodes >= 1
     assert res.objective <= float(model.objective @ start)
-    optimal = solve(model, plan=given(start))
+    optimal = solve(model, start=start)
     assert optimal.status == "optimal"
     assert optimal.objective == pytest.approx(solve(model).objective, abs=1e-12)
 
@@ -853,7 +847,7 @@ def test_infeasible_start_raises_solver_error():
     model = routing_model(g, random_instance(g, 3, "mixed", 0), 4)
     with pytest.raises(SolverError, match="starting assignment"):
         solve(model, SolverConfig(mode="feasible_first"),
-              plan=given(np.zeros(model.var_count, dtype=np.int8)))
+              start=np.zeros(model.var_count, dtype=np.int8))
 
 
 def test_assignment_satisfies_rows_exactly():
