@@ -233,8 +233,9 @@ def _deepen(g, inst, cfg, costs):
     ``optimal`` mode on expansions of at least ``PLAN_MIN_COLUMNS`` columns.
     In ``optimal`` mode a planned schedule also narrows the expansion to the
     cells that can beat it, so the one model built, searched and returned
-    holds only those.  The solver takes the schedule as its start and the
-    planner's floor as a bound, and the planner's time counts in
+    holds only those.  The solver takes the schedule as its start, the
+    planner's floor as a bound and its cheapest-walk forest as the root
+    LP's starting basis, and the planner's time counts in
     ``solve_s``.  Whether a depth is feasible does not depend on the plan,
     so the depths tried, the single-team bound and ``presolve_bound`` are
     the same in every mode.
@@ -275,14 +276,14 @@ def _deepen(g, inst, cfg, costs):
         t0 = time.monotonic()
         teg = expansion_at_depth(g, inst, depth, cfg.trim)
         t1 = time.monotonic()
-        paths, floor = None, -math.inf
+        paths, floor, basis = None, -math.inf, None
         if not optimal or teg.mask.sum() + attachments >= PLAN_MIN_COLUMNS:
-            teg, paths, floor = plan_expansion(teg, costs, narrow=optimal)
+            teg, paths, floor, basis = plan_expansion(teg, costs, narrow=optimal)
         t2 = time.monotonic()
         model = bilp.build_model(teg, costs)
         t3 = time.monotonic()
         start = None if paths is None else assignment_from_paths(paths, teg, model)
-        res = solve(model, cfg.solver, remaining(), start, floor)
+        res = solve(model, cfg.solver, remaining(), start, floor, basis)
         timings["expand_s"] += t1 - t0
         timings["build_s"] += t3 - t2
         timings["solve_s"] += t2 - t1 + time.monotonic() - t3
@@ -337,7 +338,7 @@ def plan_paths(teg, costs, walks=None):
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     n_moves = len(tab.moves)
-    sources, teams, team_cost, _, solo = walks or _solo_walks(teg, costs)
+    sources, teams, team_cost, _, _, solo = walks or _solo_walks(teg, costs)
     floor = float(sum(solo.tolist()))
     targets = np.append(tab.targets, 0)
 
@@ -384,7 +385,8 @@ def plan_paths(teg, costs, walks=None):
 
 def plan_expansion(teg, costs, narrow):
     """``plan_paths`` on ``teg``, and ``teg`` narrowed to the schedule when
-    ``narrow`` is set and there is one.  Returns ``(teg, paths, floor)``.
+    ``narrow`` is set and there is one.  Returns ``(teg, paths, floor,
+    basis)``.
 
     A solution that beats the schedule by more than ``_OBJ_TOL`` sets to 1
     only cells whose ``walk_bound`` lies below the schedule's cost less
@@ -392,11 +394,23 @@ def plan_expansion(teg, costs, narrow):
     schedule's own, whose bound can reach its cost, so its model holds the
     schedule and every solution that beats it.  The planner and the bound
     share one ``_solo_walks`` table.
+
+    ``basis`` is the cheapest-walk forest of that table, a bool mask over
+    the columns of the returned expansion's model in ``bilp.build_model``'s
+    order: the cells of the moves that ``_solo_walks`` records, one per
+    team, step and node with a finite cost to go, where the returned mask
+    holds them, then every attachment.  Under the costs to go as node
+    potentials no movement has a negative reduced cost, so the forest is a
+    dual feasible start for the root LP (``solver.solve``'s ``basis``).
+    The walks come from the expansion before narrowing.  A cell kept for
+    its walk bound keeps the forest move out of its target, whose walk bound
+    is no larger; the forest moves that narrowing drops are left out, and
+    HiGHS completes the basis without them.
     """
     walks = _solo_walks(teg, costs)
     paths, floor = plan_paths(teg, costs, walks)
+    tab, (_, teams, team_cost, to_go, best, _) = teg.tables, walks
     if narrow and paths is not None:
-        tab, (_, teams, team_cost, _, _) = teg.tables, walks
         move_of = np.zeros((teg.graph.node_count,) * 2, dtype=np.intp)
         move_of[tab.origins, tab.targets] = np.arange(len(tab.moves))
         p = np.array(paths)
@@ -405,18 +419,28 @@ def plan_expansion(teg, costs, narrow):
                 move_of[p[:, :-1], p[:, 1:]]] = True
         cost = team_cost[..., :-1][planned].sum()
         teg = replace(teg, mask=planned | (walk_bound(teg, costs, walks) < cost - _OBJ_TOL))
-    return teg, paths, floor
+    inst = teg.instance
+    # a node with no walk on marks the padding move, which no column holds
+    forest = np.zeros(team_cost.shape, dtype=bool)
+    forest[np.arange(inst.team_count)[:, None], np.arange(teg.depth)[:, None, None],
+           np.where(np.isfinite(to_go[:-1]), best, len(tab.moves))] = True
+    attachments = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
+    return teg, paths, floor, np.append(forest[..., :-1][teg.mask], np.ones(attachments, bool))
 
 
 def _solo_walks(teg, costs):
-    """The solo-walk tables behind ``plan_paths``'s floor.
+    """The solo-walk tables behind ``plan_paths``'s floor and
+    ``plan_expansion``'s forest.
 
-    Returns ``(sources, teams, team_cost, to_go, solo)``: per qubit its
-    source and team; per team, step and move the move's cost, inf where the
-    trim drops it, with one more move at inf, the padding index of the
+    Returns ``(sources, teams, team_cost, to_go, best, solo)``: per qubit
+    its source and team; per team, step and move the move's cost, inf where
+    the trim drops it, with one more move at inf, the padding index of the
     movement tables; per step t = 0..depth, team and node the cost of the
-    cheapest walk from that node at t to any destination of the team; and
-    per qubit the cost of its cheapest walk from its source.
+    cheapest walk from that node at t to any destination of the team; per
+    step t = 0..depth - 1, team and node the move that starts that walk,
+    the first minimum over the node's ascending moves, so the lowest index
+    on ties (any move of the node where the cost is inf); and per qubit the
+    cost of its cheapest walk from its source.
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     n_moves = len(tab.moves)
@@ -428,9 +452,13 @@ def _solo_walks(teg, costs):
     to_go = np.full((depth + 1, inst.team_count, g.node_count), np.inf)
     for k, dst in enumerate(inst.destinations):
         to_go[depth, k, list(dst)] = 0.0
+    best = np.empty((depth, inst.team_count, g.node_count), dtype=np.intp)
+    nodes, team = np.arange(g.node_count), np.arange(inst.team_count)[:, None]
     for t in reversed(range(depth)):
-        to_go[t] = (team_cost[:, t] + to_go[t + 1][:, targets])[:, tab.moves_from].min(axis=2)
-    return sources, teams, team_cost, to_go, to_go[0, teams, sources]
+        cand = team_cost[:, t] + to_go[t + 1][:, targets]  # per team and move
+        best[t] = tab.moves_from[nodes, cand[:, tab.moves_from].argmin(axis=2)]
+        to_go[t] = cand[team, best[t]]
+    return sources, teams, team_cost, to_go, best, to_go[0, teams, sources]
 
 
 def walk_bound(teg, costs, walks=None):
@@ -446,7 +474,7 @@ def walk_bound(teg, costs, walks=None):
     such a walk, as on every cell the trim drops).
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    sources, teams, team_cost, to_go, solo = walks or _solo_walks(teg, costs)
+    sources, teams, team_cost, to_go, _, solo = walks or _solo_walks(teg, costs)
     floor = sum(solo.tolist())
     origins, targets = np.append(tab.origins, 0), np.append(tab.targets, 0)
     # per qubit and node, the cost of its cheapest walk from its source to there

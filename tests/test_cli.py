@@ -380,7 +380,7 @@ def test_presolve_timeout_exit_code(capsys):
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
     class FailingLp:
-        def __init__(self, model):
+        def __init__(self, model, basis=None):
             pass
 
         def bound(self, values, time_left=None):

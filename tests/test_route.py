@@ -563,7 +563,7 @@ def stepwise_plan_paths(teg, costs):
     step by step from the whole backward table (the first minimum over the
     node's ascending moves at each step)."""
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    sources, teams, team_cost, _, solo = route._solo_walks(teg, costs)
+    sources, teams, team_cost, _, _, solo = route._solo_walks(teg, costs)
     floor = float(sum(solo.tolist()))
     targets = np.append(tab.targets, 0)
     level, matched = route._match_destinations(g, inst, depth)
@@ -631,6 +631,70 @@ def test_table_walk_plans_as_the_stepwise_walk():
             assert (paths, floor) == stepwise_plan_paths(teg, costs)
             planned += paths is not None
     assert len(cases) == 610 and planned == 1094  # of 1220 plans
+
+
+def loop_cost_to_go(teg, costs):
+    """Reference for ``route._solo_walks``'s costs to go, in plain loops: per
+    step t = 0..depth, team and node, the cheapest walk on to a destination
+    of the team over its trimmed moves."""
+    inst, depth, tab = teg.instance, teg.depth, teg.tables
+    cost, mask = costs.vector(tab.moves).tolist(), teg.mask.tolist()
+    nodes = range(teg.graph.node_count)
+    to_go = [[[math.inf] * len(nodes) for _ in inst.sources] for _ in range(depth + 1)]
+    for k, dst in enumerate(inst.destinations):
+        for v in dst:
+            to_go[depth][k][v] = 0.0
+    for t in reversed(range(depth)):
+        for k in range(inst.team_count):
+            for m, (i, j) in enumerate(tab.moves):
+                if mask[k][t][m]:
+                    to_go[t][k][i] = min(to_go[t][k][i], cost[m] + to_go[t + 1][k][j])
+    return to_go
+
+
+def test_forest_moves_attain_the_loop_cost_to_go():
+    # criterion-1 instances and criterion-10 seeds 0-3, at the matching bound:
+    # each node with a finite cost to go records one move, of the trimmed
+    # mask, that attains it, the lowest such move index, and plan_expansion's
+    # basis holds exactly those movement columns and every attachment
+    cases = []
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            cases.append((g, inst, movement_costs(g, sample_error_map(g, HERON, seed),
+                                                  ("extended", "simple")[seed // 2 % 2])))
+    desk = build_grid(8, 8)
+    for seed in range(4):
+        inst = random_instance(desk, 8, "independent", seed)
+        cases.append((desk, inst, movement_costs(
+            desk, sample_error_map(desk, HERON, seed + 1000), "extended")))
+    recorded = ties = 0
+    for g, inst, costs in cases:
+        teg = route.expansion_at_depth(g, inst, lower_bound_matching(g, inst))
+        tab = teg.tables
+        cost = costs.vector(tab.moves).tolist()
+        to_go = loop_cost_to_go(teg, costs)
+        best = route._solo_walks(teg, costs)[4]
+        forest = set()
+        for t, k, i in np.ndindex(best.shape):
+            if to_go[t][k][i] == math.inf:
+                continue
+            m = int(best[t, k, i])
+            assert teg.mask[k, t, m] and tab.origins[m] == i
+            walks = [cost[n] + to_go[t + 1][k][tab.targets[n]] if teg.mask[k, t, n] else math.inf
+                     for n in tab.moves_from[i] if n < len(tab.moves)]
+            assert cost[m] + to_go[t + 1][k][tab.targets[m]] == to_go[t][k][i] == min(walks)
+            assert all(w > to_go[t][k][i] for n, w in zip(tab.moves_from[i], walks) if n < m)
+            ties += walks.count(min(walks)) > 1
+            forest.add((k, t + 1, *tab.moves[m]))
+            recorded += 1
+        _, _, _, basis = route.plan_expansion(teg, costs, narrow=False)
+        keys = bilp.build_model(teg, costs).var_keys
+        assert np.array_equal(basis, [key[0] != bilp.MOVE or tuple(key[1:]) in forest
+                                      for key in keys.tolist()])
+    assert len(cases) == 304 and (recorded, ties) == (5211, 433)
 
 
 def test_plan_start_computes_the_solo_walks_once(monkeypatch):
@@ -773,17 +837,21 @@ def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
     planned = narrowed = 0
     for g, inst, costs, depth in cases:
         teg, model = route.model_at_depth(g, inst, costs, depth)
-        kept, paths, _ = route.plan_expansion(teg, costs, narrow=True)
-        assert route.plan_expansion(teg, costs, narrow=False)[0] is teg
+        kept, paths, _, basis = route.plan_expansion(teg, costs, narrow=True)
+        full, _, _, forest = route.plan_expansion(teg, costs, narrow=False)
+        assert full is teg and len(forest) == model.var_count
         if paths is None:
-            assert kept is teg
+            assert kept is teg and np.array_equal(basis, forest)
             continue
         start = route.assignment_from_paths(paths, teg, model)
         cost = float(model.objective @ start)
         bound = np.full(model.var_count, -np.inf)
         bound[:np.count_nonzero(teg.mask)] = route.walk_bound(teg, costs)[teg.mask]
         keys = bilp.build_model(kept, costs).var_keys
-        assert np.array_equal(keys, model.var_keys[(start == 1) | (bound < cost - _OBJ_TOL)])
+        keep = (start == 1) | (bound < cost - _OBJ_TOL)
+        assert np.array_equal(keys, model.var_keys[keep])
+        # the narrowed model's forest is the full one's on the columns kept
+        assert np.array_equal(basis, forest[keep])
         planned += 1
         narrowed += len(keys) < model.var_count
     assert (len(cases), planned, narrowed) == (310, 263, 136)

@@ -261,13 +261,26 @@ def cold_relaxation(model, values, zero=None):
     return res.fun
 
 
-def desk_model(seed=0, depth=7):
-    """Criterion-10 seed ``seed`` (8x8 grid, 8 qubits) at ``depth``, seed 0's
-    optimal depth by default."""
+def desk_expansion(seed=0, depth=7):
+    """The trimmed expansion of criterion-10 seed ``seed`` (8x8 grid, 8
+    qubits) at ``depth``, seed 0's optimal depth by default, and its costs."""
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", seed)
     costs = movement_costs(g, sample_error_map(g, HERON, seed + 1000), "extended")
-    return bilp.build_model(texpand.trim(texpand.expand(g, inst, depth)), costs)
+    return texpand.trim(texpand.expand(g, inst, depth)), costs
+
+
+def desk_model(seed=0, depth=7):
+    """The model of ``desk_expansion``."""
+    return bilp.build_model(*desk_expansion(seed, depth))
+
+
+def desk_forest(seed=0, depth=7, narrow=False):
+    """The model that ``route.plan_expansion`` leaves of ``desk_expansion``,
+    narrowed when ``narrow`` is set, and its cheapest-walk forest."""
+    teg, costs = desk_expansion(seed, depth)
+    teg, _, _, basis = route.plan_expansion(teg, costs, narrow)
+    return bilp.build_model(teg, costs), basis
 
 
 class CountingHighs:
@@ -285,8 +298,9 @@ class CountingHighs:
         return self._highs.changeColsBounds(n, *args)
 
 
-def check_dive(model, price):
-    """With ``price``, three fractional root columns, which are basic, and a
+def check_dive(model, price, basis=None):
+    """The relaxation starts from ``basis`` (the slack basis when None).
+    With ``price``, three fractional root columns, which are basic, and a
     third of the root zeros outside the dive are priced out at the root, and
     another third at step 5.  The basis must stay valid; the bounds must then
     match a cold LP with the priced-out columns at upper bound 0, and ``x``
@@ -296,7 +310,7 @@ def check_dive(model, price):
     priced-out ones at 0, changed since the last call and no others, and
     HiGHS must then hold those fixings.  A node that fixes a priced-out
     column to 1 is infeasible."""
-    lp = solver._LpRelaxation(model)
+    lp = solver._LpRelaxation(model, basis)
     counts = []
     lp.highs = CountingHighs(lp.highs, counts)
     values = np.full(model.var_count, -1, dtype=np.int8)
@@ -390,9 +404,58 @@ def check_dive(model, price):
 
 
 def test_warm_relaxation_matches_cold_along_dive():
-    model = desk_model()
-    for price in (False, True):
-        check_dive(model, price)
+    # from the slack basis and from the cheapest-walk forest
+    model, forest = desk_forest()
+    for basis, price in itertools.product((None, forest), (False, True)):
+        check_dive(model, price, basis)
+
+
+def root_iterations(model, basis=None):
+    """The root relaxation of ``model`` started from ``basis``: its bound (None
+    when infeasible), its HiGHS model status and its simplex iterations."""
+    lp = solver._LpRelaxation(model, basis)
+    root = lp.bound(np.full(model.var_count, -1, dtype=np.int8))
+    return (None if root is None else root[0], lp.highs.getModelStatus(),
+            lp.highs.getInfo().simplex_iteration_count)
+
+
+def test_forest_start_is_taken_and_exact():
+    # criterion-10 seed 0 at its optimal depth, the root that route solves:
+    # the same bound in at most a third of the slack start's iterations, a
+    # count a basis that HiGHS ignores would not reach (95 against 323 with
+    # HiGHS 1.12)
+    model, basis = desk_forest(narrow=True)
+    slack, forest = root_iterations(model), root_iterations(model, basis)
+    cold = cold_relaxation(model, np.full(model.var_count, -1))
+    assert slack[1] == forest[1] == solver._highs.HighsModelStatus.kOptimal
+    assert slack[0] == pytest.approx(cold, rel=0, abs=1e-9)
+    assert forest[0] == pytest.approx(cold, rel=0, abs=1e-9)
+    assert 3 * forest[2] <= slack[2]
+
+
+def test_forest_start_reads_infeasible_root_lps():
+    # criterion-1 depths below the oracle depth that root propagation leaves
+    # open: each root LP is infeasible, and both starts read kInfeasible
+    infeasible = 0
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        costs = movement_costs(g, uniform_error_map(g), "simple")
+        for seed in range(100):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            for depth in range(route.lower_bound_matching(g, inst),
+                               oracle.bfs_optimal_depth(g, inst)):
+                teg = route.expansion_at_depth(g, inst, depth)
+                _, _, _, basis = route.plan_expansion(teg, costs, narrow=False)
+                model = bilp.build_model(teg, costs)
+                if not solver._Propagator(model).propagate_all():
+                    continue
+                assert cold_relaxation(model, np.full(model.var_count, -1)) is None
+                for start in (None, basis):
+                    assert root_iterations(model, start)[:2] == (
+                        None, solver._highs.HighsModelStatus.kInfeasible)
+                infeasible += 1
+    assert infeasible == 20
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_EXPORTS) + ["desk"])
@@ -440,6 +503,22 @@ def test_binding_without_array_pass_model_is_solver_error(monkeypatch, capsys):
         solve(model)
     assert cli.main(["solve", "--layout", "grid:4x4", "--random", "4", "--seed", "0"]) == 6
     assert "passModel takes no model as arrays" in capsys.readouterr().err
+
+
+def test_rejected_basis_is_solver_error(monkeypatch, capsys):
+    # a forest mask one column short: setBasis rejects it, and the solve
+    # fails as one whose passModel is rejected does
+    model, basis = desk_forest()
+    with pytest.raises(SolverError, match="rejected the starting basis"):
+        solve(model, basis=basis[:-1])
+    plan = route.plan_expansion
+
+    def short(*args, **kwargs):
+        *planned, basis = plan(*args, **kwargs)
+        return (*planned, basis[:-1])
+    monkeypatch.setattr(route, "plan_expansion", short)
+    assert cli.main(["solve", "--layout", "grid:8x8", "--random", "8", "--seed", "0"]) == 6
+    assert "rejected the starting basis" in capsys.readouterr().err
 
 
 def test_missing_binding_fails_import_naming_scipy_floor(monkeypatch):
@@ -520,7 +599,7 @@ def count_lp_builds(monkeypatch):
     calls = []
     relaxation = solver._LpRelaxation
     monkeypatch.setattr(solver, "_LpRelaxation",
-                        lambda model: calls.append(1) or relaxation(model))
+                        lambda model, basis=None: calls.append(1) or relaxation(model, basis))
     return calls
 
 
@@ -616,7 +695,8 @@ def outcome(res):
 
 def test_reused_highs_leaves_no_trace(monkeypatch):
     """One HiGHS object goes through an LP time limit, pricing-out and an
-    infeasible LP; solves on it then match solves on fresh objects."""
+    infeasible LP; solves on it then match solves on fresh objects, a
+    forest-started solve first, so that its basis would show in the others."""
     rng = np.random.default_rng(0)
     packing = [set_packing_model(rng) for _ in range(10)]
     pricing, toy = packing[3], packing[9]  # 4 nodes with pricing-out; 2 nodes
@@ -624,14 +704,18 @@ def test_reused_highs_leaves_no_trace(monkeypatch):
     infeasible_lp = toy_model([1.0] * 4, [Row("a", (0, 1), (), "=", 1),
                                           Row("b", (2, 3), (), "=", 1),
                                           Row("c", (0, 1, 2, 3), (), "<=", 1)])
-    desk = desk_model()
+    desk, forest = desk_forest()
+    inputs = ((desk, forest), (desk, None), (toy, None))
     fresh = []
-    for model in (desk, toy):
+    for model, basis in inputs:
         monkeypatch.setattr(solver, "_IDLE_HIGHS", [])
-        fresh.append(outcome(solve(model)))
+        fresh.append(outcome(solve(model, basis=basis)))
     expect = brute_force_optimum(toy)
-    assert fresh[1][0] == "optimal" and fresh[1][3] > 1
-    assert float(fresh[1][1]) == pytest.approx(expect[0], abs=1e-9)
+    assert fresh[2][0] == "optimal" and fresh[2][3] > 1
+    assert float(fresh[2][1]) == pytest.approx(expect[0], abs=1e-9)
+    for want in fresh[:2]:
+        assert want[0] == "optimal"
+        assert float(want[1]) == pytest.approx(DESK_OPTIMA[0], rel=0, abs=1e-9)
 
     pool = []
     monkeypatch.setattr(solver, "_IDLE_HIGHS", pool)
@@ -648,8 +732,8 @@ def test_reused_highs_leaves_no_trace(monkeypatch):
     calls = count_lp_builds(monkeypatch)
     res = solve(infeasible_lp)
     assert res.status == "infeasible" and res.nodes == 1 and calls
-    for model, want in zip((desk, toy), fresh):
-        assert outcome(solve(model)) == want
+    for (model, basis), want in zip(inputs, fresh):
+        assert outcome(solve(model, basis=basis)) == want
     assert len(pool) == 1 and pool[0] is highs
     assert highs.getOptionValue("output_flag")[1] is False
     assert highs.getOptionValue("presolve")[1] == "off"
