@@ -122,7 +122,7 @@ def _solve_args(sub):
     p.add_argument("--noise-seed", type=_int_in(0), default=0)
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="optimal")
     p.add_argument("--error-model", choices=noise.ERROR_MODELS, default="extended")
-    p.add_argument("--depth-slack", type=int, default=0)
+    p.add_argument("--depth-slack", type=_int_in(0), default=0)
     p.add_argument("--presolve", choices=route.PRESOLVES, default="dijkstra",
                    help="where deepening starts: 'dijkstra' at the bottleneck-assignment "
                         "bound, 'single_team' at the larger of that and the single-team "

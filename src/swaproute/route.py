@@ -233,9 +233,10 @@ def _deepen(g, inst, cfg, costs):
     ``optimal`` mode on expansions of at least ``PLAN_MIN_COLUMNS`` columns.
     In ``optimal`` mode a planned schedule also narrows the expansion to the
     cells that can beat it, so the one model built, searched and returned
-    holds only those.  The solver takes the schedule as its start, the
-    planner's floor as a bound and its cheapest-walk forest as the root
-    LP's starting basis, and the planner's time counts in
+    holds only those.  The planner hands the solver its start, the
+    schedule as an assignment of the model's columns, with the floor as a
+    bound and the cheapest-walk forest, a mask over the same columns, as
+    the root LP's starting basis; the planner's time counts in
     ``solve_s``.  Whether a depth is feasible does not depend on the plan,
     so the depths tried, the single-team bound and ``presolve_bound`` are
     the same in every mode.
@@ -276,13 +277,12 @@ def _deepen(g, inst, cfg, costs):
         t0 = time.monotonic()
         teg = expansion_at_depth(g, inst, depth, cfg.trim)
         t1 = time.monotonic()
-        paths, floor, basis = None, -math.inf, None
+        start, floor, basis = None, -math.inf, None
         if not optimal or teg.mask.sum() + attachments >= PLAN_MIN_COLUMNS:
-            teg, paths, floor, basis = plan_expansion(teg, costs, narrow=optimal)
+            teg, start, floor, basis = plan_expansion(teg, costs, narrow=optimal)
         t2 = time.monotonic()
         model = bilp.build_model(teg, costs)
         t3 = time.monotonic()
-        start = None if paths is None else assignment_from_paths(paths, teg, model)
         res = solve(model, cfg.solver, remaining(), start, floor, basis)
         timings["expand_s"] += t1 - t0
         timings["build_s"] += t3 - t2
@@ -385,8 +385,13 @@ def plan_paths(teg, costs, walks=None):
 
 def plan_expansion(teg, costs, narrow):
     """``plan_paths`` on ``teg``, and ``teg`` narrowed to the schedule when
-    ``narrow`` is set and there is one.  Returns ``(teg, paths, floor,
-    basis)``.
+    ``narrow`` is set and there is one.  Returns ``(teg, start, floor,
+    basis)``, ``start`` and ``basis`` over the columns of the returned
+    expansion's model in ``bilp.build_model``'s order.
+
+    ``start`` is the schedule as that model's int8 assignment, None without
+    a schedule: its own cells, then the attachments, every source one at 1
+    and a destination one at 1 when a path of its team ends on its node.
 
     A solution that beats the schedule by more than ``_OBJ_TOL`` sets to 1
     only cells whose ``walk_bound`` lies below the schedule's cost less
@@ -395,37 +400,41 @@ def plan_expansion(teg, costs, narrow):
     schedule and every solution that beats it.  The planner and the bound
     share one ``_solo_walks`` table.
 
-    ``basis`` is the cheapest-walk forest of that table, a bool mask over
-    the columns of the returned expansion's model in ``bilp.build_model``'s
-    order: the cells of the moves that ``_solo_walks`` records, one per
-    team, step and node with a finite cost to go, where the returned mask
-    holds them, then every attachment.  Under the costs to go as node
-    potentials no movement has a negative reduced cost, so the forest is a
-    dual feasible start for the root LP (``solver.solve``'s ``basis``).
-    The walks come from the expansion before narrowing.  A cell kept for
-    its walk bound keeps the forest move out of its target, whose walk bound
-    is no larger; the forest moves that narrowing drops are left out, and
-    HiGHS completes the basis without them.
+    ``basis`` is the cheapest-walk forest of that table, a bool mask: the
+    cells of the moves that ``_solo_walks`` records, one per team, step and
+    node with a finite cost to go, where the returned mask holds them, then
+    every attachment.  Under the costs to go as node potentials no movement
+    has a negative reduced cost, so the forest is a dual feasible start for
+    the root LP (``solver.solve``'s ``basis``).  The walks come from the
+    expansion before narrowing.  A cell kept for its walk bound keeps the
+    forest move out of its target, whose walk bound is no larger; the forest
+    moves that narrowing drops are left out, and HiGHS completes the basis
+    without them.
     """
     walks = _solo_walks(teg, costs)
     paths, floor = plan_paths(teg, costs, walks)
-    tab, (_, teams, team_cost, to_go, best, _) = teg.tables, walks
-    if narrow and paths is not None:
+    tab, inst, (_, teams, team_cost, to_go, best, _) = teg.tables, teg.instance, walks
+    n_src = sum(map(len, inst.sources))
+    start = None
+    if paths is not None:
         move_of = np.zeros((teg.graph.node_count,) * 2, dtype=np.intp)
         move_of[tab.origins, tab.targets] = np.arange(len(tab.moves))
         p = np.array(paths)
         planned = np.zeros_like(teg.mask)  # the schedule's own cells
         planned[np.array(teams)[:, None], np.arange(teg.depth),
                 move_of[p[:, :-1], p[:, 1:]]] = True
-        cost = team_cost[..., :-1][planned].sum()
-        teg = replace(teg, mask=planned | (walk_bound(teg, costs, walks) < cost - _OBJ_TOL))
-    inst = teg.instance
+        if narrow:
+            cost = team_cost[..., :-1][planned].sum()
+            teg = replace(teg, mask=planned | (walk_bound(teg, costs, walks) < cost - _OBJ_TOL))
+        ends = set(zip(teams, p[:, -1].tolist()))
+        reached = [(k, v) in ends for k, dst in enumerate(inst.destinations) for v in dst]
+        start = np.concatenate([planned[teg.mask], np.ones(n_src, bool), reached]).astype(np.int8)
     # a node with no walk on marks the padding move, which no column holds
     forest = np.zeros(team_cost.shape, dtype=bool)
     forest[np.arange(inst.team_count)[:, None], np.arange(teg.depth)[:, None, None],
            np.where(np.isfinite(to_go[:-1]), best, len(tab.moves))] = True
-    attachments = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
-    return teg, paths, floor, np.append(forest[..., :-1][teg.mask], np.ones(attachments, bool))
+    attachments = n_src + sum(map(len, inst.destinations))
+    return teg, start, floor, np.append(forest[..., :-1][teg.mask], np.ones(attachments, bool))
 
 
 def _solo_walks(teg, costs):
@@ -519,33 +528,6 @@ def extract_paths(assignment, teg, model):
             teams.append(k)
             paths.append(tuple(path))
     return tuple(teams), tuple(paths)
-
-
-def assignment_from_paths(paths, teg, model):
-    """The model's 0/1 assignment of ``paths``, the inverse of ``extract_paths``:
-    every movement of every path, and the attachments of its first and last
-    nodes.  The ordinals are read from ``model.var_keys``; a path that needs
-    a variable the model does not hold raises ``RouteError``."""
-    inst, depth = teg.instance, teg.depth
-    teams = np.array([k for k, src in enumerate(inst.sources) for _ in src])
-    p = np.array(paths).reshape(len(teams), depth + 1)
-    ends = np.zeros_like(teams)
-    wanted = np.concatenate([
-        np.column_stack([np.full(p[:, 1:].size, bilp.MOVE), teams.repeat(depth),
-                         np.tile(np.arange(1, depth + 1), len(teams)),
-                         p[:, :-1].ravel(), p[:, 1:].ravel()]),
-        np.column_stack([ends + bilp.SRC, teams, ends, p[:, 0], p[:, 0]]),
-        np.column_stack([ends + bilp.DST, teams, ends, p[:, -1], p[:, -1]])])
-    dims = (3, inst.team_count, depth + 1, teg.graph.node_count, teg.graph.node_count)
-    have = np.ravel_multi_index(tuple(model.var_keys.T), dims)
-    want = np.ravel_multi_index(tuple(wanted.T), dims)
-    order = np.argsort(have)
-    at = np.minimum(np.searchsorted(have[order], want), len(have) - 1)
-    if not np.array_equal(have[order[at]], want):
-        raise RouteError("paths use a movement or attachment the model does not hold")
-    assignment = np.zeros(model.var_count, dtype=np.int8)
-    assignment[order[at]] = 1
-    return assignment
 
 
 def schedule_from_paths(paths):

@@ -11,8 +11,10 @@ ties broken by ordinal, and all solver modes share the same search order so
 their incumbents are comparable.  The stack holds only open branches:
 branching pushes ``(var, untried value, trail mark, parent bound)`` and takes
 the preferred value at once, and backtracking pops a frame, undoes the trail
-to its mark and tries the stored value.  The least parent bound on the stack
-therefore bounds every subtree not yet searched.
+to its mark and tries the stored value.  The parent bound of a frame
+bounds the subtree of its untried value, and the search keeps the bound of
+the subtree it is in, so the least of these and the incumbent bounds the
+optimum at any point of the search, a stop at the deadline included.
 
 Root propagation comes first and alone closes most infeasible depths, and a
 node whose variables are all fixed is its own relaxation, so a ``solve``
@@ -52,13 +54,14 @@ calls, kept because ``perfbench/spans.py`` wraps that name.
 A call may pass a ``start`` and a ``floor``.  ``start`` must pass the exact
 row check, and it becomes the first incumbent.  ``floor`` is a proven lower
 bound on the optimum.  ``best_bound`` is the larger of the floor and the
-least bound of the open subtrees.  Before the root is searched no subtree
-has a bound, so the floor alone counts; an empty stack means an exhausted
-search only after that.  The start and the floor never change the search
+least of the incumbent's objective, the bound of the subtree being
+searched (the floor at the root, inf while backtracking) and the bounds of
+the open branches.  The start and the floor never change the search
 order, and a call without them searches as before.  ``route`` passes its
-LP-free planner's schedule and floor, and in ``optimal`` mode it has
-already built the model over only the columns that can beat that schedule
-(``route.plan_expansion``), so the solver searches every column it gets.
+LP-free planner's schedule, as an assignment of the model's columns, and
+its floor, and in ``optimal`` mode it has already built the model over
+only the columns that can beat that schedule (``route.plan_expansion``),
+so the solver searches every column it gets.
 A ``basis`` changes only where the root LP starts.  Every relaxation is
 still solved to optimality, so bounds, prunes and stops follow the same
 rules, but the root may end at another optimal vertex, and the search then
@@ -397,12 +400,10 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
     nodes = 0
     # open branches: (var, untried value, trail mark, parent bound)
     stack = []
-    searched = False  # set once the root is searched; an empty stack then means done
+    here = floor  # bound of the subtree being searched, inf while backtracking
 
     def best_bound():
-        if stack:
-            return max(floor, min(f[3] for f in stack))
-        return max(floor, inc_obj if searched else -np.inf)
+        return max(floor, min([inc_obj, here, *(f[3] for f in stack)]))
 
     def accepted():
         """Whether the mode takes the incumbent without proof of optimality."""
@@ -474,8 +475,9 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
                     stack.append((v, 1 - preferred, prop.mark(), bound))
                     if prop.assign(v, preferred):
                         nodes += 1
+                        here = bound
                         continue
-        searched = True
+        here = np.inf
         if cand is not None:
             if not _check_assignment(model, cand):
                 raise SolverError("integral relaxation failed exact feasibility check")
@@ -492,6 +494,7 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             prop.undo_to(mark)
             if parent_bound < inc_obj - _OBJ_TOL and prop.assign(v, val):
                 nodes += 1
+                here = parent_bound
                 break
 
 

@@ -236,9 +236,11 @@ def test_bench_jobs_below_one_is_usage_error(jobs, capsys):
     ["solve", "--layout", "grid:1x2", "--random", "2", "--seed", "-1"],
     ["solve", "--layout", "grid:1x2", "--random", "2", "--noise-seed", "-1"],
     ["bench", "--layout", "grid:1x2", "--qubits", "1", "--seed", "-1"],
-    ["oracle-check", "--samples", "1", "--seed", "-1"]])
-def test_negative_seed_is_usage_error(argv, capsys):
-    # numpy's default_rng takes no negative seed
+    ["oracle-check", "--samples", "1", "--seed", "-1"],
+    ["solve", "--layout", "grid:1x2", "--random", "2", "--export-lp", "m.lp",
+     "--depth-slack", "-1"]])
+def test_negative_integer_option_is_usage_error(argv, capsys):
+    # numpy's default_rng takes no negative seed, and no depth is negative
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -543,18 +543,21 @@ def test_planned_schedules_are_feasible_and_floor_is_below_oracle_cost():
             depth = oracle.bfs_optimal_depth(g, inst)
             teg, model = route.model_at_depth(g, inst, costs, depth)
             paths, floor = route.plan_paths(teg, costs)
+            _, start, planned_floor, _ = route.plan_expansion(teg, costs, narrow=False)
             total += 1
+            assert planned_floor == floor
             assert floor == pytest.approx(solo_walks_floor(teg, costs), abs=1e-12), seed
             assert floor <= oracle.exhaustive_min_cost(g, costs, inst, depth) + 1e-12, seed
+            assert (start is None) == (paths is None)
             if paths is None:
                 continue
             planned += 1
             assert not validate(g, inst, route.RoutingSolution("feasible", depth, paths=paths))
-            x = route.assignment_from_paths(paths, teg, model)
-            assert _check_assignment(model, x), seed
-            assert route.extract_paths(x, teg, model)[1] == paths
-            assert float(model.objective @ x) == pytest.approx(metrics(paths, costs)["cost"],
-                                                               abs=1e-12)
+            assert start.dtype == np.int8 and len(start) == model.var_count
+            assert _check_assignment(model, start), seed
+            assert route.extract_paths(start, teg, model)[1] == paths
+            assert float(model.objective @ start) == pytest.approx(
+                metrics(paths, costs)["cost"], abs=1e-12)
     assert total == 300 and planned >= 250  # the planner finds 253
 
 
@@ -837,20 +840,20 @@ def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
     planned = narrowed = 0
     for g, inst, costs, depth in cases:
         teg, model = route.model_at_depth(g, inst, costs, depth)
-        kept, paths, _, basis = route.plan_expansion(teg, costs, narrow=True)
-        full, _, _, forest = route.plan_expansion(teg, costs, narrow=False)
+        kept, narrowed_start, _, basis = route.plan_expansion(teg, costs, narrow=True)
+        full, start, _, forest = route.plan_expansion(teg, costs, narrow=False)
         assert full is teg and len(forest) == model.var_count
-        if paths is None:
-            assert kept is teg and np.array_equal(basis, forest)
+        if start is None:
+            assert kept is teg and narrowed_start is None and np.array_equal(basis, forest)
             continue
-        start = route.assignment_from_paths(paths, teg, model)
         cost = float(model.objective @ start)
         bound = np.full(model.var_count, -np.inf)
         bound[:np.count_nonzero(teg.mask)] = route.walk_bound(teg, costs)[teg.mask]
         keys = bilp.build_model(kept, costs).var_keys
         keep = (start == 1) | (bound < cost - _OBJ_TOL)
         assert np.array_equal(keys, model.var_keys[keep])
-        # the narrowed model's forest is the full one's on the columns kept
+        # the narrowed model's start and forest are the full one's on the columns kept
+        assert np.array_equal(narrowed_start, start[keep])
         assert np.array_equal(basis, forest[keep])
         planned += 1
         narrowed += len(keys) < model.var_count

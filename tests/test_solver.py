@@ -873,11 +873,11 @@ def test_stopped_search_bound_and_gap_hold_against_optimum():
         model = routing_model(g, inst, 4, "extended")
         optimum = solve(model, SolverConfig(mode="optimal")).objective
         teg = texpand.trim(texpand.expand(g, inst, 4))
-        paths, floor = route.plan_paths(
-            teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"))
+        _, start, floor, _ = route.plan_expansion(
+            teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"), narrow=False)
         hints = [{}]
-        if paths is not None:
-            hints.append(dict(start=route.assignment_from_paths(paths, teg, model), floor=floor))
+        if start is not None:
+            hints.append(dict(start=start, floor=floor))
         for mode in ("near_optimal", "feasible_first"):
             for hint in hints:
                 res = solve(model, SolverConfig(mode=mode), **hint)
@@ -893,14 +893,56 @@ def test_stopped_search_bound_and_gap_hold_against_optimum():
     assert branched and stopped_short and started
 
 
+class TickingClock:
+    """A stand-in for the ``time`` module whose clock reads one second later at each call."""
+
+    now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_deadline_stop_bounds_the_subtree_it_leaves(monkeypatch):
+    # each deadline stops the search at the next clock read, so together they
+    # stop it at every node, the LP of a node included; the subtree being
+    # searched is still open there, so best_bound stays below the incumbent
+    # and never reaches above the optimum
+    clock = TickingClock()
+    monkeypatch.setattr(solver, "time", clock)
+    models = stopped = 0
+    for g, n_qubits in ((build_grid(2, 3), 3), (build_grid(3, 3), 4)):
+        for seed in range(40):
+            inst = random_instance(g, n_qubits, "mixed", seed)
+            depth = route.lower_bound_matching(g, inst)
+            for model in (routing_model(g, inst, d, "extended") for d in range(depth, depth + 3)):
+                optimum = solve(model)
+                if optimum.status != "optimal" or optimum.nodes < 2:
+                    continue
+                models += 1
+                deadline = 0.5
+                while True:
+                    clock.now = 0.0
+                    res = solve(model, deadline=deadline)
+                    if res.status != "deadline_exceeded":
+                        break
+                    stopped += 1
+                    deadline += 1.0
+                    if res.best_bound is not None:
+                        assert res.best_bound <= optimum.objective + 1e-9, (seed, deadline)
+                    if res.objective is not None:
+                        assert res.best_bound < res.objective, (seed, deadline)
+    assert models == 25 and stopped == 168
+
+
 def planned_desk_model():
     """Criterion-10 seed 0 at depth 7, with its planned start and floor."""
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", 0)
     costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
     teg, model = route.model_at_depth(g, inst, costs, 7)
-    paths, floor = route.plan_paths(teg, costs)
-    return model, route.assignment_from_paths(paths, teg, model), floor
+    _, start, floor, _ = route.plan_expansion(teg, costs, narrow=False)
+    return model, start, floor
 
 
 @pytest.mark.parametrize("mode", ("near_optimal", "feasible_first"))
