@@ -14,7 +14,7 @@ import numpy as np
 from . import bilp, texpand
 from .instance import merge_teams, validate as validate_instance
 from .noise import MovementCosts, accumulated_error, movement_costs
-from .solver import _OBJ_TOL, SolverConfig, solve
+from .solver import _OBJ_TOL, SolverConfig, SolverError, solve
 
 PRESOLVES = ("none", "dijkstra", "single_team")
 
@@ -112,20 +112,25 @@ def lower_bound_matching(g, inst) -> int | None:
     return _match_destinations(g, inst)[0]
 
 
-def _match_destinations(g, inst, top=None):
+def _match_destinations(g, inst, top=None, forbidden=frozenset()):
     """(level, matched) for the bottleneck matching of qubits to distinct
     destinations of their own teams: the smallest hop level, up to ``top``
     when given, at which every qubit has a destination within that many hops
     of its source, and the destination of each qubit at that level; (None,
-    None) when no level up to ``top`` matches them all.
+    None) when no level up to ``top`` matches them all.  ``forbidden`` holds
+    (qubit, destination) pairs the matching may not use; (None, None) also
+    when it leaves some qubit no destination at all.
 
     The matching grows by augmenting paths, one hop level at a time from the
     hop bound up.
     """
     hops_from = texpand.graph_tables(g).hops_from
     # per qubit: (destination, hops from its source) pairs of its own team
-    options = [[(v, hops_from(s).item(v)) for v in dst]
-               for src, dst in zip(inst.sources, inst.destinations) for s in src]
+    sources = [(s, dst) for src, dst in zip(inst.sources, inst.destinations) for s in src]
+    options = [[(v, hops_from(s).item(v)) for v in dst if (a, v) not in forbidden]
+               for a, (s, dst) in enumerate(sources)]
+    if not all(options):
+        return None, None
     owner = {}  # destination -> the qubit matched to it
 
     def augment(a, level, seen):
@@ -166,13 +171,34 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     instance infeasible up to the same cap).
     The bound can lie below ``lower_bound_matching`` of the original
     instance; ``_deepen`` starts at the larger of the two.
+
+    Before any model, the merged instance's matching bound, itself a proven
+    lower bound, is planned on with the unit costs (``plan_paths``), after
+    the budget check ``_deepen`` makes before each attempt.  A schedule
+    there settles the bound without a model; it must pass ``validate``
+    against the merged instance, or ``SolverError`` is raised, as for a
+    start that fails ``solve``'s exact check.  Without a schedule the
+    merged solve runs as above.  Only the depth comes back.
     """
     cfg = cfg or RouteConfig()
+    start = time.monotonic()
+    budget = math.inf if cfg.timeout is None else cfg.timeout
     relaxed = merge_teams(inst)
+    unit = MovementCosts("simple", {(i, j): float(i != j)
+                                    for i, j in texpand.graph_tables(g).moves})
+    depth = lower_bound_matching(g, relaxed)
+    if depth is not None:
+        if time.monotonic() - start >= budget:
+            raise PresolveIncomplete("timed_out")
+        paths, _ = plan_paths(expansion_at_depth(g, relaxed, depth, cfg.trim), unit)
+        if paths is not None:
+            if validate(g, relaxed, RoutingSolution("feasible", depth, paths=paths)):
+                raise SolverError("planned single-team schedule failed validation")
+            return depth
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
-                  solver=SolverConfig(mode="feasible_first"))
-    unit = {(i, j): float(i != j) for i, j in texpand.graph_tables(g).moves}
-    status, _, found, _ = _deepen(g, relaxed, sub, MovementCosts("simple", unit))
+                  solver=SolverConfig(mode="feasible_first"),
+                  timeout=budget - (time.monotonic() - start))
+    status, _, found, _ = _deepen(g, relaxed, sub, unit)
     if found is None:
         raise PresolveIncomplete(status)
     return found[0].depth
@@ -333,54 +359,87 @@ def plan_paths(teg, costs, walks=None):
     earlier qubit enters i at t from anywhere but j (swap pairing).  The
     backward pass keeps, per step and node, the move that starts the
     cheapest walk on from there, ties to the lowest move index, and the
-    walk follows that table from the source.  ``paths`` is None when there
-    is no such matching at ``depth`` or some qubit has no walk left.
+    walk follows that table from the source.
+
+    A qubit whose team has a single destination first follows its solo
+    walk, ``_solo_walks``'s table of the same program with nothing blocked,
+    and keeps it when no move on it is blocked.  That is the walk the
+    program would find: blocking only raises costs to go, so the walk keeps
+    its cost, and each of its moves stays the first minimum at its node.
+
+    When a qubit has no walk left, the planner forbids the pair of that
+    qubit and its destination, adds it to the pairs forbidden before,
+    matches again at levels up to ``depth`` and routes every qubit again
+    from scratch in the order of the new matching.  It re-matches at most
+    as many times as there are qubits.  ``paths`` is None when there is no
+    matching at ``depth``, when the forbidden pairs leave no matching (a
+    qubit of a team with a single destination that has no walk ends the
+    plan so), or when the last pass still leaves a qubit with no walk.
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     n_moves = len(tab.moves)
-    sources, teams, team_cost, _, _, solo = walks or _solo_walks(teg, costs)
+    sources, teams, team_cost, _, solo_best, solo = walks or _solo_walks(teg, costs)
     floor = float(sum(solo.tolist()))
     targets = np.append(tab.targets, 0)
-
-    level, matched = _match_destinations(g, inst, depth)
-    if level is None:
-        return None, floor
-    order = sorted(range(len(sources)),
-                   key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
-    blocked = np.zeros((depth, n_moves + 1), dtype=bool)  # moves the routed qubits forbid
     steps = np.arange(depth)
     nodes = np.arange(g.node_count)
     next_node = tab.targets.tolist()
-    paths = [None] * len(sources)
-    for a in order:
-        step_cost = np.where(blocked, np.inf, team_cost[teams[a]])
-        # per step and node, the move that starts its cheapest walk on: the first
-        # minimum over the node's ascending moves, so the lowest index on ties
-        best = np.empty((depth, g.node_count), dtype=np.intp)
-        to_go = np.full(g.node_count, np.inf)
-        to_go[matched[a]] = 0.0
-        for t in reversed(range(depth)):
-            cand = step_cost[t] + to_go[targets]  # per move: its cost plus the cost to go
-            best[t] = tab.moves_from[nodes, cand[tab.moves_from].argmin(axis=1)]
-            to_go = cand[best[t]]
-        if to_go[sources[a]] == np.inf:
-            return None, floor
+
+    def follow(a, table):  # the moves from a's source along a per-step, per-node move table
         node, moves = sources[a], []
-        for best_t in best.tolist():
+        for best_t in table:
             moves.append(best_t[node])
             node = next_node[moves[-1]]
-        moves = np.array(moves, dtype=np.intp)
-        u, w = tab.origins[moves], tab.targets[moves]
-        paths[a] = (sources[a], *w.tolist())
-        mine = np.zeros_like(blocked)
-        mine[steps[:, None], tab.moves_into[w]] = True  # every move into w
-        mine[steps[:, None], tab.moves_into[u]] = True  # into u, but for the swap w -> u
-        mine[steps[:, None], tab.moves_from[w]] = True  # out of w, but for the swap w -> u
-        swapped = u != w
-        # both directions of an edge are adjacent movements (see texpand.GraphTables)
-        mine[steps[swapped], moves[swapped] ^ 1] = False
-        blocked |= mine
-    return tuple(paths), floor
+        return np.array(moves, dtype=np.intp)
+
+    def route_all(matched):
+        """(paths, None), or (None, a) when qubit a has no walk left."""
+        order = sorted(range(len(sources)),
+                       key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
+        blocked = np.zeros((depth, n_moves + 1), dtype=bool)  # moves the routed qubits forbid
+        paths = [None] * len(sources)
+        for a in order:
+            moves = None
+            if len(inst.destinations[teams[a]]) == 1 and solo[a] < np.inf:
+                moves = follow(a, solo_best[:, teams[a]].tolist())
+                if blocked[steps, moves].any():
+                    moves = None
+            if moves is None:
+                step_cost = np.where(blocked, np.inf, team_cost[teams[a]])
+                # per step and node, the move that starts its cheapest walk on: the
+                # first minimum over the node's ascending moves, so the lowest index on ties
+                best = np.empty((depth, g.node_count), dtype=np.intp)
+                to_go = np.full(g.node_count, np.inf)
+                to_go[matched[a]] = 0.0
+                for t in reversed(range(depth)):
+                    cand = step_cost[t] + to_go[targets]  # per move: its cost plus the cost to go
+                    best[t] = tab.moves_from[nodes, cand[tab.moves_from].argmin(axis=1)]
+                    to_go = cand[best[t]]
+                if to_go[sources[a]] == np.inf:
+                    return None, a
+                moves = follow(a, best.tolist())
+            u, w = tab.origins[moves], tab.targets[moves]
+            paths[a] = (sources[a], *w.tolist())
+            mine = np.zeros_like(blocked)
+            mine[steps[:, None], tab.moves_into[w]] = True  # every move into w
+            mine[steps[:, None], tab.moves_into[u]] = True  # into u, but for the swap w -> u
+            mine[steps[:, None], tab.moves_from[w]] = True  # out of w, but for the swap w -> u
+            swapped = u != w
+            # both directions of an edge are adjacent movements (see texpand.GraphTables)
+            mine[steps[swapped], moves[swapped] ^ 1] = False
+            blocked |= mine
+        return tuple(paths), None
+
+    forbidden = set()  # (qubit, destination) pairs taken away by a re-match
+    for _ in range(len(sources) + 1):  # a first pass, then one re-match per qubit
+        level, matched = _match_destinations(g, inst, depth, forbidden)
+        if level is None:
+            break
+        paths, stuck = route_all(matched)
+        if paths is not None:
+            return paths, floor
+        forbidden.add((stuck, matched[stuck]))
+    return None, floor
 
 
 def plan_expansion(teg, costs, narrow):

@@ -130,9 +130,12 @@ def test_no_matching_is_infeasible_at_once(presolve, presolve_bound, monkeypatch
 
 
 # lower_bound_single_team before the matching-bound start and the unit movement
-# costs of the merged solve: desk8x8 seeds 0..9, then criterion-1 instances
-# (graph, seed) with a multi-qubit team
-DESK_SINGLE_TEAM_BOUNDS = {0: 5, 1: 4, 2: 5, 3: 6, 4: 4, 5: 6, 6: 4, 7: 5, 8: 6, 9: 4}
+# costs of the merged solve: desk8x8 seeds 0..9, which the planner settles, and
+# 20, 21 and 34, which it does not (seed 20 is infeasible at its merged matching
+# bound, 6), then criterion-1 instances (graph, seed) with a multi-qubit team
+DESK_SINGLE_TEAM_BOUNDS = {0: 5, 1: 4, 2: 5, 3: 6, 4: 4, 5: 6, 6: 4, 7: 5, 8: 6, 9: 4,
+                           20: 7, 21: 6, 34: 4}
+DESK_UNPLANNED_MERGED = (20, 21, 34)
 TINY_SINGLE_TEAM_BOUNDS = {
     ("path6", 2): 1, ("path6", 5): 1, ("path6", 7): 3, ("path6", 10): 2,
     ("path6", 11): 2, ("path6", 13): 2, ("path6", 14): 1,
@@ -170,19 +173,43 @@ def test_single_team_bound_pinned(monkeypatch):
         return models[-1]
     monkeypatch.setattr(route, "expansion_at_depth", recorded)
     monkeypatch.setattr(bilp, "build_model", built)
+    desk = build_layout("grid:8x8")
+    unplanned = [random_instance(desk, 8, "independent", s) for s in DESK_UNPLANNED_MERGED]
+    desk_built = []
     for g, inst, bound in single_team_cases():
         merged_depths.clear()
+        before = len(models)
         assert lower_bound_single_team(g, inst) == bound
         assert merged_depths[0] == lower_bound_matching(g, merge_teams(inst))
         assert merged_depths[-1] == bound
+        if g == desk:
+            desk_built.append((len(models) > before, inst in unplanned))
+    # a schedule planned at the merged matching bound settles it with no model
+    assert desk_built == [(False, False)] * 10 + [(True, True)] * 3
     # the feasible_first depth does not depend on the costs, so the pins cannot
     # see them: every merged model costs 1.0 per movement and 0.0 otherwise
+    assert models
     for model in models:
         kind, i, j = model.var_keys[:, 0], model.var_keys[:, 3], model.var_keys[:, 4]
         moving = (kind == bilp.MOVE) & (i != j)
         assert moving.any() and not moving.all()
         assert (model.objective[moving] == 1.0).all()
         assert (model.objective[~moving] == 0.0).all()
+
+
+def test_single_team_planned_schedule_is_validated(monkeypatch):
+    # a planned merged schedule that breaks the problem's rules is an error,
+    # not a depth: here the last qubit's path jumps to a non-neighbour
+    plan = route.plan_paths
+
+    def corrupted(teg, costs, walks=None):
+        paths, floor = plan(teg, costs, walks)
+        *kept, (s, *rest) = paths
+        return (*kept, (s, *[(s + 9) % 64] * len(rest))), floor
+    monkeypatch.setattr(route, "plan_paths", corrupted)
+    g = build_layout("grid:8x8")
+    with pytest.raises(solver.SolverError, match="failed validation"):
+        lower_bound_single_team(g, random_instance(g, 8, "independent", 0))
 
 
 @pytest.mark.parametrize("presolve", route.PRESOLVES)
@@ -558,20 +585,17 @@ def test_planned_schedules_are_feasible_and_floor_is_below_oracle_cost():
             assert route.extract_paths(start, teg, model)[1] == paths
             assert float(model.objective @ start) == pytest.approx(
                 metrics(paths, costs)["cost"], abs=1e-12)
-    assert total == 300 and planned >= 250  # the planner finds 253
+    assert total == 300 and planned >= 250  # the planner finds 279
 
 
-def stepwise_plan_paths(teg, costs):
-    """Reference for ``route.plan_paths``: the same planner, with the walk read
-    step by step from the whole backward table (the first minimum over the
-    node's ascending moves at each step)."""
-    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    sources, teams, team_cost, _, _, solo = route._solo_walks(teg, costs)
-    floor = float(sum(solo.tolist()))
+def stepwise_route(teg, costs, matched):
+    """One routing pass of the reference planner: ``(paths, None)``, or
+    ``(None, a)`` when qubit a has no walk left.  Every qubit runs the full
+    dynamic program, and its walk is read step by step from the whole
+    backward table (the first minimum over the node's ascending moves)."""
+    g, depth, tab = teg.graph, teg.depth, teg.tables
+    sources, teams, team_cost, _, _, _ = route._solo_walks(teg, costs)
     targets = np.append(tab.targets, 0)
-    level, matched = route._match_destinations(g, inst, depth)
-    if level is None:
-        return None, floor
     order = sorted(range(len(sources)),
                    key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
     blocked = np.zeros((depth, len(tab.moves) + 1), dtype=bool)
@@ -586,7 +610,7 @@ def stepwise_plan_paths(teg, costs):
             np.add(step_cost[t], to_go[targets], out=cand[t])
             to_go = cand[t][tab.moves_from].min(axis=1)
         if to_go[sources[a]] == np.inf:
-            return None, floor
+            return None, a
         node, moves = sources[a], []
         for t in range(depth):
             out = tab.moves_from[node]
@@ -602,7 +626,29 @@ def stepwise_plan_paths(teg, costs):
         swapped = u != w
         mine[steps[swapped], moves[swapped] ^ 1] = False
         blocked |= mine
-    return tuple(paths), floor
+    return tuple(paths), None
+
+
+def stepwise_plan_paths(teg, costs):
+    """Reference for ``route.plan_paths``: the same planner in plain steps.
+    When a qubit has no walk left, its matched destination is forbidden to
+    it and everything is matched and routed again, up to one re-match per
+    qubit in all; no matching ends the plan with no schedule."""
+    floor = float(sum(route._solo_walks(teg, costs)[5].tolist()))
+    forbidden = set()
+    rematches = 0
+    while True:
+        level, matched = route._match_destinations(teg.graph, teg.instance, teg.depth,
+                                                   forbidden)
+        if level is None:
+            return None, floor
+        paths, stuck = stepwise_route(teg, costs, matched)
+        if paths is not None:
+            return paths, floor
+        if rematches == len(matched):
+            return None, floor
+        rematches += 1
+        forbidden.add((stuck, matched[stuck]))
 
 
 def test_table_walk_plans_as_the_stepwise_walk():
@@ -633,7 +679,7 @@ def test_table_walk_plans_as_the_stepwise_walk():
             paths, floor = route.plan_paths(teg, costs)
             assert (paths, floor) == stepwise_plan_paths(teg, costs)
             planned += paths is not None
-    assert len(cases) == 610 and planned == 1094  # of 1220 plans
+    assert len(cases) == 610 and planned == 1181  # of 1220 plans
 
 
 def loop_cost_to_go(teg, costs):
@@ -712,6 +758,31 @@ def test_plan_start_computes_the_solo_walks_once(monkeypatch):
     sol = solve_mqpf(g, sample_error_map(g, HERON, 1000), inst,
                      RouteConfig(error_model="extended"))
     assert sol.status == "optimal" and len(calls) == len(tried) and len(bounds) == 1
+
+
+def test_planner_rematches_on_devices():
+    # 14 qubits in one team at the matching bound, seeds 0-4 (heron noise seed
+    # s + 1000): a qubit left with no walk gives up its destination, and the
+    # planner matches and routes again.  With the matching fixed, rochester53
+    # planned none of these and grid:10x10 two; paris27 still plans none
+    planned = {}
+    for layout in ("rochester53", "grid:10x10", "paris27"):
+        g = build_layout(layout)
+        planned[layout] = 0
+        for seed in range(5):
+            inst = random_instance(g, 14, "single", seed)
+            costs = movement_costs(g, sample_error_map(g, HERON, seed + 1000), "extended")
+            teg, model = route.model_at_depth(g, inst, costs, lower_bound_matching(g, inst))
+            paths, _ = route.plan_paths(teg, costs)
+            _, start, _, _ = route.plan_expansion(teg, costs, narrow=False)
+            assert (start is None) == (paths is None)
+            if paths is None:
+                continue
+            planned[layout] += 1
+            assert not validate(g, inst, route.RoutingSolution("feasible", teg.depth, paths=paths))
+            assert _check_assignment(model, start), (layout, seed)
+            assert route.extract_paths(start, teg, model)[1] == paths
+    assert planned == {"rochester53": 4, "grid:10x10": 5, "paris27": 0}
 
 
 def test_planner_walks_avoid_earlier_qubits():
@@ -813,9 +884,9 @@ def test_walk_bound_is_sound_and_the_restricted_search_exact(monkeypatch):
             assert full.objective == pytest.approx(
                 oracle.exhaustive_min_cost(g, costs, inst, depth), rel=0, abs=1e-9), seed
             total += 1
-    # the others have no planned start (47); the rest narrow where a cell's
+    # the others have no planned start (21); the rest narrow where a cell's
     # walk bound reaches the start's cost
-    assert total == 300 and len(narrowed) == 253 and sum(narrowed) == 126
+    assert total == 300 and len(narrowed) == 279 and sum(narrowed) == 143
 
 
 def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
@@ -857,7 +928,7 @@ def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
         assert np.array_equal(basis, forest[keep])
         planned += 1
         narrowed += len(keys) < model.var_count
-    assert (len(cases), planned, narrowed) == (310, 263, 136)
+    assert (len(cases), planned, narrowed) == (310, 289, 153)
 
 
 def test_bilp_size_counts_the_model_searched():
