@@ -1,6 +1,7 @@
 """The outer routing algorithm: depth lower bounds, iterative deepening over
-the time expansion, an LP-free planner that starts the solver and narrows
-the expansion, path extraction, validation, and error metrics."""
+the time expansion, an LP-free planner that settles attempts, starts the
+solver and narrows the expansion, path extraction, validation, and error
+metrics."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bilp, texpand
 from .instance import merge_teams, validate as validate_instance
 from .noise import MovementCosts, accumulated_error, movement_costs
-from .solver import _OBJ_TOL, SolverConfig, SolverError, solve
+from .solver import _OBJ_TOL, SolverConfig, SolverError, result_gap, settled, solve
 
 PRESOLVES = ("none", "dijkstra", "single_team")
 
@@ -172,33 +174,17 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     The bound can lie below ``lower_bound_matching`` of the original
     instance; ``_deepen`` starts at the larger of the two.
 
-    Before any model, the merged instance's matching bound, itself a proven
-    lower bound, is planned on with the unit costs (``plan_paths``), after
-    the budget check ``_deepen`` makes before each attempt.  A schedule
-    there settles the bound without a model; it must pass ``validate``
-    against the merged instance, or ``SolverError`` is raised, as for a
-    start that fails ``solve``'s exact check.  Without a schedule the
-    merged solve runs as above.  Only the depth comes back.
+    ``feasible_first`` takes any planned schedule, so a schedule that the
+    planner finds at the merged matching bound, itself a proven lower bound,
+    settles that depth with no model (see ``_deepen``), and each depth the
+    merged solve tries is planned once.  Only the depth comes back.
     """
     cfg = cfg or RouteConfig()
-    start = time.monotonic()
-    budget = math.inf if cfg.timeout is None else cfg.timeout
-    relaxed = merge_teams(inst)
     unit = MovementCosts("simple", {(i, j): float(i != j)
                                     for i, j in texpand.graph_tables(g).moves})
-    depth = lower_bound_matching(g, relaxed)
-    if depth is not None:
-        if time.monotonic() - start >= budget:
-            raise PresolveIncomplete("timed_out")
-        paths, _ = plan_paths(expansion_at_depth(g, relaxed, depth, cfg.trim), unit)
-        if paths is not None:
-            if validate(g, relaxed, RoutingSolution("feasible", depth, paths=paths)):
-                raise SolverError("planned single-team schedule failed validation")
-            return depth
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
-                  solver=SolverConfig(mode="feasible_first"),
-                  timeout=budget - (time.monotonic() - start))
-    status, _, found, _ = _deepen(g, relaxed, sub, unit)
+                  solver=SolverConfig(mode="feasible_first"))
+    status, _, found, _ = _deepen(g, merge_teams(inst), sub, unit)
     if found is None:
         raise PresolveIncomplete(status)
     return found[0].depth
@@ -206,7 +192,9 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:
     """Route an instance: find the optimal depth by iterative deepening, then
-    return the cost-minimizing schedule at that depth (plus any depth slack)."""
+    return the cost-minimizing schedule at that depth (plus any depth slack).
+    The paths are the planner's when its schedule settled the attempt, with
+    no model searched and ``bilp_vars`` and ``bilp_rows`` None."""
     cfg = cfg or RouteConfig()
     violations = validate_instance(g, inst)
     if violations:
@@ -216,11 +204,12 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     status, bound, found, timings = _deepen(g, inst, cfg, costs)
     fields = {}
     if found is not None:
-        teg, model, res = found
-        teams, paths = extract_paths(res.assignment, teg, model)
+        teg, model, answer, gap = found
+        teams, paths = answer if model is None else extract_paths(answer, teg, model)
         fields = dict(depth=teg.depth, teams=teams, paths=paths, **metrics(paths, costs),
-                      solver_status=status, solver_gap=res.gap,
-                      bilp_vars=model.var_count, bilp_rows=model.row_count)
+                      solver_status=status, solver_gap=gap,
+                      bilp_vars=None if model is None else model.var_count,
+                      bilp_rows=None if model is None else model.row_count)
     timings["total_s"] = time.monotonic() - start
     return RoutingSolution(status, presolve_bound=bound, timings=timings, **fields)
 
@@ -250,19 +239,23 @@ def _deepen(g, inst, cfg, costs):
     ``infeasible_up_to_cap`` at once, before any single-team presolve.
     ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.
     Returns ``(status, presolve_bound, found, timings)``: ``found`` is the
-    solved attempt as ``(teg, model, SolveResult)``, None unless the status
-    is ``optimal`` or ``feasible``, and nothing is decoded here, so the
-    single-team presolve, which reads only the depth, pays for no paths.
+    solved attempt as ``(teg, model, answer, gap)``, None unless the status
+    is ``optimal`` or ``feasible``.  ``answer`` is the planner's ``(teams,
+    paths)`` when ``model`` is None, else the solver's assignment, not
+    decoded here, so the single-team presolve pays for no paths.
 
-    Each attempt plans on the trimmed expansion before its model is built
+    Each attempt plans on the trimmed expansion before any model
     (``plan_expansion``): in the non-optimal modes always, and in
     ``optimal`` mode on expansions of at least ``PLAN_MIN_COLUMNS`` columns.
-    In ``optimal`` mode a planned schedule also narrows the expansion to the
-    cells that can beat it, so the one model built, searched and returned
-    holds only those.  The planner hands the solver its start, the
-    schedule as an assignment of the model's columns, with the floor as a
-    bound and the cheapest-walk forest, a mask over the same columns, as
-    the root LP's starting basis; the planner's time counts in
+    When ``solver.settled`` takes the schedule against the floor, the
+    attempt ends with the planner's paths and builds no model; no exact row
+    check ran on them, so they must pass ``validate`` or ``SolverError`` is
+    raised.  Otherwise, in ``optimal`` mode the schedule also narrows the
+    expansion to the cells that can beat it, so the one model built,
+    searched and returned holds only those.  The planner hands the solver
+    its start, the schedule as an assignment of the model's columns, with
+    the floor as a bound and the cheapest-walk forest, a mask over the same
+    columns, as the root LP's starting basis; the planner's time counts in
     ``solve_s``.  Whether a depth is feasible does not depend on the plan,
     so the depths tried, the single-team bound and ``presolve_bound`` are
     the same in every mode.
@@ -296,24 +289,31 @@ def _deepen(g, inst, cfg, costs):
     if status is not None:
         return result(status)
 
-    optimal = cfg.solver.mode == "optimal"
+    mode = cfg.solver.mode
+    optimal = mode == "optimal"
     attachments = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
+    teams = tuple(k for k, src in enumerate(inst.sources) for _ in src)
 
     def attempt(depth):
         t0 = time.monotonic()
         teg = expansion_at_depth(g, inst, depth, cfg.trim)
         t1 = time.monotonic()
+        timings["expand_s"] += t1 - t0
         start, floor, basis = None, -math.inf, None
         if not optimal or teg.mask.sum() + attachments >= PLAN_MIN_COLUMNS:
-            teg, start, floor, basis = plan_expansion(teg, costs, narrow=optimal)
+            teg, paths, cost, floor, start, basis = plan_expansion(teg, costs, optimal, mode)
+            if status := settled(mode, cost, floor):
+                if validate(g, inst, RoutingSolution(status, depth, paths=paths)):
+                    raise SolverError("planned schedule failed validation")
+                timings["solve_s"] += time.monotonic() - t1
+                return status, (teg, None, (teams, paths), result_gap(status, cost, floor))
         t2 = time.monotonic()
         model = bilp.build_model(teg, costs)
         t3 = time.monotonic()
         res = solve(model, cfg.solver, remaining(), start, floor, basis)
-        timings["expand_s"] += t1 - t0
         timings["build_s"] += t3 - t2
         timings["solve_s"] += t2 - t1 + time.monotonic() - t3
-        return res.status, (teg, model, res)
+        return res.status, (teg, model, res.assignment, res.gap)
 
     for depth in range(first, g.node_count ** 2 + 1):
         if remaining() <= 0:
@@ -442,11 +442,25 @@ def plan_paths(teg, costs, walks=None):
     return None, floor
 
 
-def plan_expansion(teg, costs, narrow):
+class Plan(NamedTuple):
+    """What ``plan_expansion`` plans for one depth attempt."""
+
+    expansion: texpand.TimeExpandedGraph  # narrowed when asked and there is a schedule
+    paths: tuple | None    # the schedule, None without one
+    cost: float | None     # the schedule's objective, as ``solver.solve`` sums a start
+    floor: float           # ``plan_paths``'s lower bound on the model optimum
+    start: np.ndarray | None  # the schedule as the model's int8 assignment
+    basis: np.ndarray | None  # the cheapest-walk forest, a bool mask over the columns
+
+
+def plan_expansion(teg, costs, narrow, mode=None):
     """``plan_paths`` on ``teg``, and ``teg`` narrowed to the schedule when
-    ``narrow`` is set and there is one.  Returns ``(teg, start, floor,
-    basis)``, ``start`` and ``basis`` over the columns of the returned
-    expansion's model in ``bilp.build_model``'s order.
+    ``narrow`` is set and there is one.  ``start`` and ``basis`` lie over
+    the columns of the returned expansion's model in ``bilp.build_model``'s
+    order, and ``cost`` is that model's objective times ``start`` in that
+    order, bit for bit ``solver.solve``'s incumbent objective.  When a
+    ``mode`` is given and ``solver.settled(mode, cost, floor)`` takes the
+    schedule, no model will be built, and ``start`` and ``basis`` are None.
 
     ``start`` is the schedule as that model's int8 assignment, None without
     a schedule: its own cells, then the attachments, every source one at 1
@@ -474,7 +488,8 @@ def plan_expansion(teg, costs, narrow):
     paths, floor = plan_paths(teg, costs, walks)
     tab, inst, (_, teams, team_cost, to_go, best, _) = teg.tables, teg.instance, walks
     n_src = sum(map(len, inst.sources))
-    start = None
+    attachments = n_src + sum(map(len, inst.destinations))
+    start = cost = None
     if paths is not None:
         move_of = np.zeros((teg.graph.node_count,) * 2, dtype=np.intp)
         move_of[tab.origins, tab.targets] = np.arange(len(tab.moves))
@@ -483,17 +498,21 @@ def plan_expansion(teg, costs, narrow):
         planned[np.array(teams)[:, None], np.arange(teg.depth),
                 move_of[p[:, :-1], p[:, 1:]]] = True
         if narrow:
-            cost = team_cost[..., :-1][planned].sum()
-            teg = replace(teg, mask=planned | (walk_bound(teg, costs, walks) < cost - _OBJ_TOL))
+            below = walk_bound(teg, costs, walks) < team_cost[..., :-1][planned].sum() - _OBJ_TOL
+            teg = replace(teg, mask=planned | below)
+        cells, pad = planned[teg.mask], np.zeros(attachments)  # attachments cost 0
+        cost = float(np.append(team_cost[..., :-1][teg.mask], pad) @ np.append(cells, pad))
+        if mode is not None and settled(mode, cost, floor):
+            return Plan(teg, paths, cost, floor, None, None)
         ends = set(zip(teams, p[:, -1].tolist()))
         reached = [(k, v) in ends for k, dst in enumerate(inst.destinations) for v in dst]
-        start = np.concatenate([planned[teg.mask], np.ones(n_src, bool), reached]).astype(np.int8)
+        start = np.concatenate([cells, np.ones(n_src, bool), reached]).astype(np.int8)
     # a node with no walk on marks the padding move, which no column holds
     forest = np.zeros(team_cost.shape, dtype=bool)
     forest[np.arange(inst.team_count)[:, None], np.arange(teg.depth)[:, None, None],
            np.where(np.isfinite(to_go[:-1]), best, len(tab.moves))] = True
-    attachments = n_src + sum(map(len, inst.destinations))
-    return teg, start, floor, np.append(forest[..., :-1][teg.mask], np.ones(attachments, bool))
+    basis = np.append(forest[..., :-1][teg.mask], np.ones(attachments, bool))
+    return Plan(teg, paths, cost, floor, start, basis)
 
 
 def _solo_walks(teg, costs):

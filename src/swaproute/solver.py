@@ -67,12 +67,11 @@ still solved to optimality, so bounds, prunes and stops follow the same
 rules, but the root may end at another optimal vertex, and the search then
 branches on that vertex's fractional columns.
 
-The modes differ only in when they stop.  Before the root and before each
-backtrack, ``feasible_first`` takes any incumbent, ``near_optimal`` one within
-``NEAR_GAP`` (relative or absolute) of ``best_bound`` and ``optimal`` none, so
-a close enough start and floor end the search before root propagation.  A
-start within ``_OBJ_TOL`` of the floor is pruned as any node would be, and
-the solve ends ``optimal`` there.
+The modes differ only in when they stop, and one rule, ``settled``, says
+when.  ``solve`` asks it before the root, where the bound is the floor, and
+before each backtrack.  ``route`` asks it of its planner's schedule and floor
+before any model is built, and an attempt that it settles there ends with
+the planner's paths, so a start from ``route`` is one the rule left open.
 
 Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
 *Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
@@ -369,6 +368,25 @@ class _LpRelaxation:
         return self.highs.getObjectiveValue(), np.array(self.highs.getSolution().col_value)
 
 
+def settled(mode, objective, bound):
+    """How a search in ``mode`` ends with an incumbent of cost ``objective`` (None
+    without one) and a proven lower ``bound``: ``feasible`` when the mode takes
+    it (``feasible_first`` always, ``near_optimal`` within ``NEAR_GAP`` of the
+    bound, relative or absolute), else ``optimal`` within ``_OBJ_TOL``, else None."""
+    if objective is None:
+        return None
+    gap = objective - bound
+    if mode == "feasible_first" or mode == "near_optimal" and (
+            gap / max(objective, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP):
+        return "feasible"
+    return "optimal" if bound >= objective - _OBJ_TOL else None
+
+
+def result_gap(status, objective, bound):
+    """The relative gap a result of ``status`` reports: None unless ``feasible``."""
+    return max((objective - bound) / max(objective, 1e-12), 0.0) if status == "feasible" else None
+
+
 def _check_assignment(model, x):
     """Exact integer check of every row (rows are never empty)."""
     lhs = np.add.reduceat(x.astype(np.int64)[model.indices] * model.signs, model.indptr[:-1])
@@ -405,14 +423,8 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
     def best_bound():
         return max(floor, min([inc_obj, here, *(f[3] for f in stack)]))
 
-    def accepted():
-        """Whether the mode takes the incumbent without proof of optimality."""
-        if incumbent is None or cfg.mode == "optimal":
-            return False
-        if cfg.mode == "feasible_first":
-            return True
-        gap = inc_obj - best_bound()
-        return gap / max(inc_obj, 1e-12) <= NEAR_GAP or gap <= NEAR_GAP
+    def stop():
+        return incumbent is not None and settled(cfg.mode, inc_obj, best_bound())
 
     def result(status):
         if lp is not None:
@@ -423,14 +435,12 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             assignment=incumbent,
             objective=None if incumbent is None else float(inc_obj),
             best_bound=float(bb) if np.isfinite(bb) else None,
-            gap=max((inc_obj - bb) / max(inc_obj, 1e-12), 0.0) if status == "feasible" else None,
+            gap=result_gap(status, inc_obj, bb),
             nodes=nodes)
 
     lp = None  # built at the first node that leaves a variable free
-    if accepted():
-        return result("feasible")
-    if incumbent is not None and floor >= inc_obj - _OBJ_TOL:
-        return result("optimal")  # the floor prunes the root as it would any node
+    if status := stop():  # a start close enough to the floor settles the root
+        return result(status)
     nodes = 1  # the root
     prop = _Propagator(model)
     if not prop.propagate_all():
@@ -486,10 +496,10 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
                 incumbent, inc_obj = cand, obj
         # backtrack to the deepest open branch that the incumbent does not prune
         while True:
-            if accepted():
-                return result("feasible")
-            if not stack:
-                return result("infeasible" if incumbent is None else "optimal")
+            if status := stop():
+                return result(status)
+            if not stack:  # with an incumbent, its own objective already settled it
+                return result("infeasible")
             v, val, mark, parent_bound = stack.pop()
             prop.undo_to(mark)
             if parent_bound < inc_obj - _OBJ_TOL and prop.assign(v, val):

@@ -201,6 +201,7 @@ def test_criterion_8_mode_dominance(capsys):
     dominance_bad = 0
     gap_bad = 0
     completed = 0
+    settled = 0  # answers the planner's schedule settled, with no model searched
     for seed in range(100):
         inst = random_instance(g, 2 + seed % 3,
                                ("independent", "mixed", "single")[seed % 3], seed)
@@ -211,6 +212,7 @@ def test_criterion_8_mode_dominance(capsys):
         if not all(s.solved for s in sols.values()):
             continue
         completed += 1
+        settled += sum(sols[m].bilp_vars is None for m in ("near_optimal", "feasible_first"))
         c_o, c_n, c_f = (sols[m].cost for m in ("optimal", "near_optimal",
                                                 "feasible_first"))
         if not (c_o <= c_n + 1e-9 <= c_f + 2e-9):
@@ -222,10 +224,10 @@ def test_criterion_8_mode_dominance(capsys):
             abs_gap = rel * c_n if rel is not None else None
             if rel is None or (rel > 0.08 + 1e-9 and abs_gap > 0.08 + 1e-9):
                 gap_bad += 1
-    ok = completed == 100 and dominance_bad == 0 and gap_bad == 0
+    ok = completed == 100 and dominance_bad == 0 and gap_bad == 0 and settled > 0
     _report(capsys, 8, "mode dominance and near-optimal gap", ok,
             f"{completed}/100 completed, {dominance_bad} dominance violations, "
-            f"{gap_bad} gap violations")
+            f"{gap_bad} gap violations, {settled} answers settled by the planner")
 
 
 def test_criterion_9_equal_depth_optimal_beats_feasible(capsys):

@@ -197,9 +197,9 @@ def test_single_team_bound_pinned(monkeypatch):
         assert (model.objective[~moving] == 0.0).all()
 
 
-def test_single_team_planned_schedule_is_validated(monkeypatch):
-    # a planned merged schedule that breaks the problem's rules is an error,
-    # not a depth: here the last qubit's path jumps to a non-neighbour
+def corrupt_plans(monkeypatch):
+    """Makes every planned 8x8 schedule break the problem's rules: the last
+    qubit's path jumps to a non-neighbour."""
     plan = route.plan_paths
 
     def corrupted(teg, costs, walks=None):
@@ -207,9 +207,113 @@ def test_single_team_planned_schedule_is_validated(monkeypatch):
         *kept, (s, *rest) = paths
         return (*kept, (s, *[(s + 9) % 64] * len(rest))), floor
     monkeypatch.setattr(route, "plan_paths", corrupted)
+
+
+def test_single_team_planned_schedule_is_validated(monkeypatch):
+    # a planned merged schedule that breaks the problem's rules is an error,
+    # not a depth
+    corrupt_plans(monkeypatch)
     g = build_layout("grid:8x8")
     with pytest.raises(solver.SolverError, match="failed validation"):
         lower_bound_single_team(g, random_instance(g, 8, "independent", 0))
+
+
+def test_single_team_presolve_plans_each_merged_depth_once(monkeypatch):
+    # the seeds whose merged matching bound the planner does not settle: every
+    # merged depth tried is expanded and planned once, by the merged solve alone
+    g = build_layout("grid:8x8")
+    expand, plan = route.expansion_at_depth, route.plan_paths
+    for seed in DESK_UNPLANNED_MERGED:
+        inst = random_instance(g, 8, "independent", seed)
+        expanded, planned = [], []
+        monkeypatch.setattr(route, "expansion_at_depth",
+                            lambda g_, i_, d, *a: expanded.append(d) or expand(g_, i_, d, *a))
+        monkeypatch.setattr(route, "plan_paths",
+                            lambda teg, *a: planned.append(teg.depth) or plan(teg, *a))
+        bound = lower_bound_single_team(g, inst)
+        assert bound == DESK_SINGLE_TEAM_BOUNDS[seed]
+        first = lower_bound_matching(g, merge_teams(inst))
+        assert planned == expanded == list(range(first, bound + 1)), seed
+
+
+def count_models(monkeypatch):
+    """Counts ``bilp.build_model`` and ``route.solve`` calls from here on."""
+    calls = {"build_model": 0, "solve": 0}
+    for module, name in ((bilp, "build_model"), (route, "solve")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ("near_optimal", "feasible_first"))
+def test_settled_attempt_builds_no_model_and_validates_its_paths(mode, monkeypatch):
+    # criterion-10 seed 2: the planned schedule settles the attempt at the
+    # optimal depth, 10, so no model is built or searched; the planner's paths
+    # are checked against the instance instead, once per settled attempt
+    g = build_grid(8, 8)
+    inst = random_instance(g, 8, "independent", 2)
+    emap = sample_error_map(g, HERON, 1002)
+    cfg = RouteConfig(error_model="extended", timeout=60, solver=SolverConfig(mode=mode))
+    checked = []
+    check = route.validate
+    monkeypatch.setattr(route, "validate", lambda *a: checked.append(1) or check(*a))
+    calls = count_models(monkeypatch)
+    sol = solve_mqpf(g, emap, inst, cfg)
+    assert (sol.status, sol.depth, sol.solver_status) == ("feasible", 10, "feasible")
+    assert calls == {"build_model": 0, "solve": 0} and len(checked) == 1
+    assert (sol.bilp_vars, sol.bilp_rows) == (None, None)
+    assert not validate(g, inst, sol)
+    # a settled schedule that breaks the problem's rules is a solver error
+    corrupt_plans(monkeypatch)
+    with pytest.raises(solver.SolverError, match="failed validation"):
+        solve_mqpf(g, emap, inst, cfg)
+
+
+def test_skipping_the_model_loses_nothing(monkeypatch):
+    # every attempt that the acceptance rule settles on the criterion-1 corpus
+    # (feasible_first and near_optimal) and criterion-10 seeds 0-9
+    # (near_optimal): the start that solve would have been handed passes the
+    # exact row check, decodes to the planner's paths, and its objective is
+    # the planned cost to the last bit
+    settled = []
+    plan = route.plan_expansion
+
+    def witnessed(teg, costs, narrow, mode):
+        planned = plan(teg, costs, narrow, mode)
+        if solver.settled(mode, planned.cost, planned.floor):
+            full = plan(teg, costs, narrow)
+            model = bilp.build_model(full.expansion, costs)
+            assert full.paths == planned.paths and full.cost == planned.cost
+            assert planned.start is None and planned.basis is None
+            assert _check_assignment(model, full.start)
+            assert route.extract_paths(full.start, full.expansion, model)[1] == planned.paths
+            assert float(model.objective @ full.start) == planned.cost
+            settled.append(mode)
+        return planned
+    monkeypatch.setattr(route, "plan_expansion", witnessed)
+    for g in (build_grid(1, 6), build_cycle(6), build_grid(2, 3)):
+        for seed in range(500):
+            inst = random_maybe_flexible_instance(
+                g, 1 + seed % 4, ("independent", "mixed", "single")[seed % 3], seed,
+                seed % 2 == 1)
+            for mode in ("feasible_first", "near_optimal"):
+                sol = solve_mqpf(g, uniform_error_map(g), inst,
+                                 RouteConfig(solver=SolverConfig(mode=mode)))
+                assert sol.solved and not validate(g, inst, sol)
+    tiny = (settled.count("feasible_first"), settled.count("near_optimal"))
+    settled.clear()
+    desk = build_grid(8, 8)
+    for seed in range(10):
+        sol = solve_mqpf(desk, sample_error_map(desk, HERON, seed + 1000),
+                         random_instance(desk, 8, "independent", seed),
+                         RouteConfig(error_model="extended", timeout=60,
+                                     solver=SolverConfig(mode="near_optimal")))
+        assert sol.solved
+    # on the criterion-1 corpus every cost lies within the absolute gap, so
+    # near_optimal settles every attempt that feasible_first does
+    assert (*tiny, len(settled)) == (1376, 1376, 9)
 
 
 @pytest.mark.parametrize("presolve", route.PRESOLVES)
@@ -570,7 +674,8 @@ def test_planned_schedules_are_feasible_and_floor_is_below_oracle_cost():
             depth = oracle.bfs_optimal_depth(g, inst)
             teg, model = route.model_at_depth(g, inst, costs, depth)
             paths, floor = route.plan_paths(teg, costs)
-            _, start, planned_floor, _ = route.plan_expansion(teg, costs, narrow=False)
+            plan = route.plan_expansion(teg, costs, narrow=False)
+            start, planned_floor = plan.start, plan.floor
             total += 1
             assert planned_floor == floor
             assert floor == pytest.approx(solo_walks_floor(teg, costs), abs=1e-12), seed
@@ -739,7 +844,7 @@ def test_forest_moves_attain_the_loop_cost_to_go():
             ties += walks.count(min(walks)) > 1
             forest.add((k, t + 1, *tab.moves[m]))
             recorded += 1
-        _, _, _, basis = route.plan_expansion(teg, costs, narrow=False)
+        basis = route.plan_expansion(teg, costs, narrow=False).basis
         keys = bilp.build_model(teg, costs).var_keys
         assert np.array_equal(basis, [key[0] != bilp.MOVE or tuple(key[1:]) in forest
                                       for key in keys.tolist()])
@@ -774,7 +879,7 @@ def test_planner_rematches_on_devices():
             costs = movement_costs(g, sample_error_map(g, HERON, seed + 1000), "extended")
             teg, model = route.model_at_depth(g, inst, costs, lower_bound_matching(g, inst))
             paths, _ = route.plan_paths(teg, costs)
-            _, start, _, _ = route.plan_expansion(teg, costs, narrow=False)
+            start = route.plan_expansion(teg, costs, narrow=False).start
             assert (start is None) == (paths is None)
             if paths is None:
                 continue
@@ -856,10 +961,10 @@ def test_walk_bound_is_sound_and_the_restricted_search_exact(monkeypatch):
     narrowed = []
     plan = route.plan_expansion
 
-    def recorded(teg, costs, narrow):
-        planned = plan(teg, costs, narrow)
-        if planned[1] is not None:
-            narrowed.append(not np.array_equal(planned[0].mask, teg.mask))
+    def recorded(teg, costs, narrow, mode):
+        planned = plan(teg, costs, narrow, mode)
+        if planned.paths is not None:
+            narrowed.append(not np.array_equal(planned.expansion.mask, teg.mask))
         return planned
     monkeypatch.setattr(route, "plan_expansion", recorded)
     total = 0
@@ -911,8 +1016,8 @@ def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
     planned = narrowed = 0
     for g, inst, costs, depth in cases:
         teg, model = route.model_at_depth(g, inst, costs, depth)
-        kept, narrowed_start, _, basis = route.plan_expansion(teg, costs, narrow=True)
-        full, start, _, forest = route.plan_expansion(teg, costs, narrow=False)
+        kept, _, _, _, narrowed_start, basis = route.plan_expansion(teg, costs, narrow=True)
+        full, _, _, _, start, forest = route.plan_expansion(teg, costs, narrow=False)
         assert full is teg and len(forest) == model.var_count
         if start is None:
             assert kept is teg and narrowed_start is None and np.array_equal(basis, forest)
@@ -933,7 +1038,8 @@ def test_narrowing_keeps_the_start_and_the_cells_below_its_cost():
 
 def test_bilp_size_counts_the_model_searched():
     # criterion-10 seed 2 at its optimal depth: optimal mode searches the
-    # narrowed expansion, near_optimal the trimmed one
+    # narrowed expansion, and near_optimal takes the planned schedule, which
+    # settles the attempt with no model, so it reports no model size
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", 2)
     emap = sample_error_map(g, HERON, 1002)
@@ -944,7 +1050,7 @@ def test_bilp_size_counts_the_model_searched():
                                                     solver=SolverConfig(mode=mode)))
         assert sol.solved and sol.depth == 10
         sizes[mode] = sol.bilp_vars, sol.bilp_rows
-    assert sizes["near_optimal"] == (model.var_count, model.row_count)
+    assert sizes["near_optimal"] == (None, None)
     assert model.var_count == 3016 and sizes["optimal"][0] == 2019
     assert sizes["optimal"][1] < model.row_count
 

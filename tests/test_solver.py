@@ -279,8 +279,8 @@ def desk_forest(seed=0, depth=7, narrow=False):
     """The model that ``route.plan_expansion`` leaves of ``desk_expansion``,
     narrowed when ``narrow`` is set, and its cheapest-walk forest."""
     teg, costs = desk_expansion(seed, depth)
-    teg, _, _, basis = route.plan_expansion(teg, costs, narrow)
-    return bilp.build_model(teg, costs), basis
+    plan = route.plan_expansion(teg, costs, narrow)
+    return bilp.build_model(plan.expansion, costs), plan.basis
 
 
 class CountingHighs:
@@ -446,7 +446,7 @@ def test_forest_start_reads_infeasible_root_lps():
             for depth in range(route.lower_bound_matching(g, inst),
                                oracle.bfs_optimal_depth(g, inst)):
                 teg = route.expansion_at_depth(g, inst, depth)
-                _, _, _, basis = route.plan_expansion(teg, costs, narrow=False)
+                basis = route.plan_expansion(teg, costs, narrow=False).basis
                 model = bilp.build_model(teg, costs)
                 if not solver._Propagator(model).propagate_all():
                     continue
@@ -514,8 +514,8 @@ def test_rejected_basis_is_solver_error(monkeypatch, capsys):
     plan = route.plan_expansion
 
     def short(*args, **kwargs):
-        *planned, basis = plan(*args, **kwargs)
-        return (*planned, basis[:-1])
+        planned = plan(*args, **kwargs)
+        return planned._replace(basis=planned.basis[:-1])
     monkeypatch.setattr(route, "plan_expansion", short)
     assert cli.main(["solve", "--layout", "grid:8x8", "--random", "8", "--seed", "0"]) == 6
     assert "rejected the starting basis" in capsys.readouterr().err
@@ -873,8 +873,9 @@ def test_stopped_search_bound_and_gap_hold_against_optimum():
         model = routing_model(g, inst, 4, "extended")
         optimum = solve(model, SolverConfig(mode="optimal")).objective
         teg = texpand.trim(texpand.expand(g, inst, 4))
-        _, start, floor, _ = route.plan_expansion(
+        plan = route.plan_expansion(
             teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"), narrow=False)
+        start, floor = plan.start, plan.floor
         hints = [{}]
         if start is not None:
             hints.append(dict(start=start, floor=floor))
@@ -941,8 +942,8 @@ def planned_desk_model():
     inst = random_instance(g, 8, "independent", 0)
     costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
     teg, model = route.model_at_depth(g, inst, costs, 7)
-    _, start, floor, _ = route.plan_expansion(teg, costs, narrow=False)
-    return model, start, floor
+    plan = route.plan_expansion(teg, costs, narrow=False)
+    return model, plan.start, plan.floor
 
 
 @pytest.mark.parametrize("mode", ("near_optimal", "feasible_first"))
@@ -955,6 +956,31 @@ def test_started_solve_within_contract_stops_before_the_root(mode, monkeypatch):
     assert res.status == "feasible" and res.nodes == 0 and not calls
     assert res.assignment is start and res.best_bound == floor
     assert res.gap == pytest.approx(gap / res.objective, abs=1e-15)
+
+
+def test_one_acceptance_rule():
+    settled, gap, tol = solver.settled, solver.NEAR_GAP, solver._OBJ_TOL
+    # feasible_first takes any incumbent, however far from the bound
+    for bound in (-math.inf, 0.0, 10.0, 11.0):
+        assert settled("feasible_first", 10.0, bound) == "feasible"
+    # near_optimal: within 8% of the bound, relative, with the edge included ...
+    assert settled("near_optimal", 100.0, 92.0) == "feasible"
+    assert settled("near_optimal", 100.0, math.nextafter(92.0, 0.0)) is None
+    # ... or within 0.08, absolute, which is the wider rule below a cost of 1
+    assert 0.125 - (0.125 - gap) == gap
+    assert settled("near_optimal", 0.125, 0.125 - gap) == "feasible"
+    assert settled("near_optimal", 0.125, math.nextafter(0.125 - gap, 0.0)) is None
+    assert settled("near_optimal", 10.0, -math.inf) is None
+    # optimal takes an incumbent only as proven, within _OBJ_TOL of the bound;
+    # the other modes take it first as feasible
+    assert settled("optimal", 10.0, 10.0 - tol) == "optimal"
+    assert settled("optimal", 10.0, 10.0 - 2 * tol) is None
+    assert settled("optimal", 10.0, 11.0) == "optimal"
+    assert settled("optimal", 100.0, 99.0) is None
+    assert settled("near_optimal", 10.0, 10.0) == "feasible"
+    # no incumbent settles nothing, in any mode
+    for mode in solver.MODES:
+        assert settled(mode, None, math.inf) is None
 
 
 def test_started_solve_keeps_searching_outside_contract():
