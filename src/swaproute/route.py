@@ -9,6 +9,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -180,14 +181,20 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     merged solve tries is planned once.  Only the depth comes back.
     """
     cfg = cfg or RouteConfig()
-    unit = MovementCosts("simple", {(i, j): float(i != j)
-                                    for i, j in texpand.graph_tables(g).moves})
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=SolverConfig(mode="feasible_first"))
-    status, _, found, _ = _deepen(g, merge_teams(inst), sub, unit)
+    status, _, found, _ = _deepen(g, merge_teams(inst), sub, _unit_costs(g))
     if found is None:
         raise PresolveIncomplete(status)
     return found[0].depth
+
+
+@lru_cache(maxsize=32)
+def _unit_costs(g):
+    """``lower_bound_single_team``'s unit costs on ``g``, built once per graph
+    (graphs are immutable), so their cost vector is built once too."""
+    return MovementCosts("simple", {(i, j): float(i != j)
+                                    for i, j in texpand.graph_tables(g).moves})
 
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:
@@ -332,7 +339,7 @@ def _deepen(g, inst, cfg, costs):
     return result(status, found)
 
 
-def plan_paths(teg, costs, walks=None):
+def plan_paths(teg, costs, walks=None, mode=None):
     """A schedule planned without any LP, and a lower bound on the model optimum.
 
     Returns ``(paths, floor)`` in the qubit order of ``extract_paths``;
@@ -367,14 +374,24 @@ def plan_paths(teg, costs, walks=None):
     program would find: blocking only raises costs to go, so the walk keeps
     its cost, and each of its moves stays the first minimum at its node.
 
-    When a qubit has no walk left, the planner forbids the pair of that
-    qubit and its destination, adds it to the pairs forbidden before,
-    matches again at levels up to ``depth`` and routes every qubit again
-    from scratch in the order of the new matching.  It re-matches at most
-    as many times as there are qubits.  ``paths`` is None when there is no
-    matching at ``depth``, when the forbidden pairs leave no matching (a
-    qubit of a team with a single destination that has no walk ends the
-    plan so), or when the last pass still leaves a qubit with no walk.
+    The planner restarts by moving one qubit to the front of the routing
+    order and routing every qubit again (Bennewitz, Burgard & Thrun,
+    Robotics and Autonomous Systems 2002).  When a qubit has no walk left
+    and is not first, it moves to the front.  When it is first already, the
+    planner forbids the pair of that qubit and its destination, adds it to
+    the pairs forbidden before, matches again at levels up to ``depth`` and
+    routes every qubit again from scratch in the order of the new matching.
+    In ``near_optimal`` mode, a schedule that ``solver.settled`` does not
+    take against the floor moves the qubit whose walk costs the most over
+    its solo walk (the lowest on ties) to the front; the planner stops at
+    the first schedule the mode takes, or when that qubit is first already,
+    and returns the cheapest schedule it found.  The other modes take the
+    first schedule.  There are at most as many restarts, and as many
+    re-matches, as there are qubits.  ``paths`` is None when no pass
+    completes a schedule: there is no matching at ``depth``, the forbidden
+    pairs leave no matching (a qubit of a team with a single destination
+    that has no walk when first ends the plan so), or the budget runs out
+    with a qubit still left with no walk.
     """
     g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
     n_moves = len(tab.moves)
@@ -392,12 +409,11 @@ def plan_paths(teg, costs, walks=None):
             node = next_node[moves[-1]]
         return np.array(moves, dtype=np.intp)
 
-    def route_all(matched):
-        """(paths, None), or (None, a) when qubit a has no walk left."""
-        order = sorted(range(len(sources)),
-                       key=lambda a: (depth - tab.hops_from(sources[a]).item(matched[a]), a))
+    def route_all(matched, order):
+        """(paths, spent, None), with the cost of each qubit's walk, or (None,
+        None, a) when qubit a has no walk left."""
         blocked = np.zeros((depth, n_moves + 1), dtype=bool)  # moves the routed qubits forbid
-        paths = [None] * len(sources)
+        paths, spent = [None] * len(sources), solo.tolist()
         for a in order:
             moves = None
             if len(inst.destinations[teams[a]]) == 1 and solo[a] < np.inf:
@@ -416,8 +432,9 @@ def plan_paths(teg, costs, walks=None):
                     best[t] = tab.moves_from[nodes, cand[tab.moves_from].argmin(axis=1)]
                     to_go = cand[best[t]]
                 if to_go[sources[a]] == np.inf:
-                    return None, a
+                    return None, None, a
                 moves = follow(a, best.tolist())
+                spent[a] = to_go[sources[a]].item()
             u, w = tab.origins[moves], tab.targets[moves]
             paths[a] = (sources[a], *w.tolist())
             mine = np.zeros_like(blocked)
@@ -428,18 +445,37 @@ def plan_paths(teg, costs, walks=None):
             # both directions of an edge are adjacent movements (see texpand.GraphTables)
             mine[steps[swapped], moves[swapped] ^ 1] = False
             blocked |= mine
-        return tuple(paths), None
+        return tuple(paths), spent, None
 
     forbidden = set()  # (qubit, destination) pairs taken away by a re-match
-    for _ in range(len(sources) + 1):  # a first pass, then one re-match per qubit
-        level, matched = _match_destinations(g, inst, depth, forbidden)
-        if level is None:
-            break
-        paths, stuck = route_all(matched)
+    order = None  # the routing order, None until the next matching sets it
+    rematches = restarts = 0
+    kept, kept_cost = None, math.inf  # the cheapest schedule so far
+    while True:
+        if order is None:
+            level, matched = _match_destinations(g, inst, depth, forbidden)
+            if level is None:
+                return kept, floor
+            order = sorted(range(len(sources)), key=lambda a: (
+                depth - tab.hops_from(sources[a]).item(matched[a]), a))
+        paths, spent, a = route_all(matched, order)
         if paths is not None:
-            return paths, floor
-        forbidden.add((stuck, matched[stuck]))
-    return None, floor
+            cost = sum(spent)
+            if cost < kept_cost:
+                kept, kept_cost = paths, cost
+            if mode != "near_optimal" or settled(mode, kept_cost, floor):
+                return kept, floor
+            a = int(np.argmax(spent - solo))  # the worst qubit, the lowest on ties
+        if a != order[0] and restarts < len(sources):
+            restarts += 1
+            order.remove(a)
+            order.insert(0, a)
+        elif paths is None and rematches < len(sources):
+            rematches += 1
+            forbidden.add((a, matched[a]))
+            order = None
+        else:
+            return kept, floor
 
 
 class Plan(NamedTuple):
@@ -458,9 +494,11 @@ def plan_expansion(teg, costs, narrow, mode=None):
     ``narrow`` is set and there is one.  ``start`` and ``basis`` lie over
     the columns of the returned expansion's model in ``bilp.build_model``'s
     order, and ``cost`` is that model's objective times ``start`` in that
-    order, bit for bit ``solver.solve``'s incumbent objective.  When a
-    ``mode`` is given and ``solver.settled(mode, cost, floor)`` takes the
-    schedule, no model will be built, and ``start`` and ``basis`` are None.
+    order, bit for bit ``solver.solve``'s incumbent objective.  ``mode``,
+    the attempt's solver mode, reaches ``plan_paths``, which restarts for
+    cost only in ``near_optimal``.  When it is given and
+    ``solver.settled(mode, cost, floor)`` takes the schedule, no model will
+    be built, and ``start`` and ``basis`` are None.
 
     ``start`` is the schedule as that model's int8 assignment, None without
     a schedule: its own cells, then the attachments, every source one at 1
@@ -485,7 +523,7 @@ def plan_expansion(teg, costs, narrow, mode=None):
     without them.
     """
     walks = _solo_walks(teg, costs)
-    paths, floor = plan_paths(teg, costs, walks)
+    paths, floor = plan_paths(teg, costs, walks, mode)
     tab, inst, (_, teams, team_cost, to_go, best, _) = teg.tables, teg.instance, walks
     n_src = sum(map(len, inst.sources))
     attachments = n_src + sum(map(len, inst.destinations))
