@@ -10,7 +10,7 @@ over all of them drops the rows that are empty or that binarity satisfies.
 Rows keep a fixed order (family, then timestep, team, node or edge) and so do
 variables (movements by team, timestep and movement, then attachments:
 sources, then destinations, each team by team with nodes ascending), so an
-expansion always gives a byte-identical model; ``route.plan_expansion``
+expansion always gives a byte-identical model; ``plan.plan_expansion``
 lays out its start and basis in this order.  Names are never built for the
 solver: ``rows`` is a view derived on first use.
 """

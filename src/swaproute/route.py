@@ -1,7 +1,7 @@
 """The outer routing algorithm: depth lower bounds, iterative deepening over
-the time expansion, an LP-free planner that settles attempts, starts the
-solver and narrows the expansion, path extraction, validation, and error
-metrics."""
+the time expansion, in which the LP-free planner of ``plan`` settles
+attempts, starts the solver and narrows the expansion, path extraction,
+validation, and error metrics."""
 
 from __future__ import annotations
 
@@ -10,14 +10,11 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple
 
-import numpy as np
-
-from . import bilp, texpand
+from . import bilp, plan, texpand
 from .instance import merge_teams, validate as validate_instance
 from .noise import MovementCosts, accumulated_error, movement_costs
-from .solver import _OBJ_TOL, SolverConfig, SolverError, result_gap, settled, solve
+from .solver import SolverConfig, SolverError, result_gap, settled, solve
 
 PRESOLVES = ("none", "dijkstra", "single_team")
 
@@ -112,51 +109,7 @@ def lower_bound_matching(g, inst) -> int | None:
     team, at most ``depth`` hops from its source, so the optimal depth is at
     least this bound; and the bound is at least ``lower_bound_dijkstra``.
     """
-    return _match_destinations(g, inst)[0]
-
-
-def _match_destinations(g, inst, top=None, forbidden=frozenset()):
-    """(level, matched) for the bottleneck matching of qubits to distinct
-    destinations of their own teams: the smallest hop level, up to ``top``
-    when given, at which every qubit has a destination within that many hops
-    of its source, and the destination of each qubit at that level; (None,
-    None) when no level up to ``top`` matches them all.  ``forbidden`` holds
-    (qubit, destination) pairs the matching may not use; (None, None) also
-    when it leaves some qubit no destination at all.
-
-    The matching grows by augmenting paths, one hop level at a time from the
-    hop bound up.
-    """
-    hops_from = texpand.graph_tables(g).hops_from
-    # per qubit: (destination, hops from its source) pairs of its own team
-    sources = [(s, dst) for src, dst in zip(inst.sources, inst.destinations) for s in src]
-    options = [[(v, hops_from(s).item(v)) for v in dst if (a, v) not in forbidden]
-               for a, (s, dst) in enumerate(sources)]
-    if not all(options):
-        return None, None
-    owner = {}  # destination -> the qubit matched to it
-
-    def augment(a, level, seen):
-        for v, d in options[a]:
-            if d <= level and v not in seen:
-                seen.add(v)
-                if v not in owner or augment(owner[v], level, seen):
-                    owner[v] = a
-                    return True
-        return False
-
-    free = range(len(options))
-    top = max(d for opts in options for _, d in opts) if top is None else top
-    for level in range(max(min(d for _, d in opts) for opts in options), top + 1):
-        # a qubit with no augmenting path now has none after later augmentations
-        # at this level either, so one try per free qubit makes the matching maximum
-        free = [a for a in free if not augment(a, level, set())]
-        if not free:
-            matched = [None] * len(options)
-            for v, a in owner.items():
-                matched[a] = v
-            return level, matched
-    return None, None
+    return plan.match_destinations(g, inst)[0]
 
 
 def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
@@ -211,8 +164,8 @@ def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution
     status, bound, found, timings = _deepen(g, inst, cfg, costs)
     fields = {}
     if found is not None:
-        teg, model, answer, gap = found
-        teams, paths = answer if model is None else extract_paths(answer, teg, model)
+        teg, model, paths, gap = found
+        teams = tuple(k for k, src in enumerate(inst.sources) for _ in src)
         fields = dict(depth=teg.depth, teams=teams, paths=paths, **metrics(paths, costs),
                       solver_status=status, solver_gap=gap,
                       bilp_vars=None if model is None else model.var_count,
@@ -246,26 +199,22 @@ def _deepen(g, inst, cfg, costs):
     ``infeasible_up_to_cap`` at once, before any single-team presolve.
     ``none`` starts at depth 0.  All budgets share ``cfg.timeout``.
     Returns ``(status, presolve_bound, found, timings)``: ``found`` is the
-    solved attempt as ``(teg, model, answer, gap)``, None unless the status
-    is ``optimal`` or ``feasible``.  ``answer`` is the planner's ``(teams,
-    paths)`` when ``model`` is None, else the solver's assignment, not
-    decoded here, so the single-team presolve pays for no paths.
+    solved attempt as ``(teg, model, paths, gap)``, None unless the status
+    is ``optimal`` or ``feasible``; the paths are the planner's when
+    ``model`` is None, else the solver's assignment decoded by
+    ``extract_paths``.
 
     Each attempt plans on the trimmed expansion before any model
-    (``plan_expansion``): in the non-optimal modes always, and in
+    (``plan.plan_expansion``): in the non-optimal modes always, and in
     ``optimal`` mode on expansions of at least ``PLAN_MIN_COLUMNS`` columns.
     When ``solver.settled`` takes the schedule against the floor, the
     attempt ends with the planner's paths and builds no model; no exact row
     check ran on them, so they must pass ``validate`` or ``SolverError`` is
-    raised.  Otherwise, in ``optimal`` mode the schedule also narrows the
-    expansion to the cells that can beat it, so the one model built,
-    searched and returned holds only those.  The planner hands the solver
-    its start, the schedule as an assignment of the model's columns, with
-    the floor as a bound and the cheapest-walk forest, a mask over the same
-    columns, as the root LP's starting basis; the planner's time counts in
-    ``solve_s``.  Whether a depth is feasible does not depend on the plan,
-    so the depths tried, the single-team bound and ``presolve_bound`` are
-    the same in every mode.
+    raised.  Otherwise the solver gets the plan's start, floor and basis, and
+    in ``optimal`` mode the model holds only the cells of the narrowed
+    expansion; the planner's time counts in ``solve_s``.  Whether a depth
+    is feasible does not depend on the plan, so the depths tried, the
+    single-team bound and ``presolve_bound`` are the same in every mode.
     """
     start = time.monotonic()
     timings = {"presolve_s": 0.0, "expand_s": 0.0, "build_s": 0.0, "solve_s": 0.0}
@@ -299,7 +248,6 @@ def _deepen(g, inst, cfg, costs):
     mode = cfg.solver.mode
     optimal = mode == "optimal"
     attachments = sum(map(len, inst.sources)) + sum(map(len, inst.destinations))
-    teams = tuple(k for k, src in enumerate(inst.sources) for _ in src)
 
     def attempt(depth):
         t0 = time.monotonic()
@@ -308,12 +256,12 @@ def _deepen(g, inst, cfg, costs):
         timings["expand_s"] += t1 - t0
         start, floor, basis = None, -math.inf, None
         if not optimal or teg.mask.sum() + attachments >= PLAN_MIN_COLUMNS:
-            teg, paths, cost, floor, start, basis = plan_expansion(teg, costs, optimal, mode)
+            teg, paths, cost, floor, start, basis = plan.plan_expansion(teg, costs, optimal, mode)
             if status := settled(mode, cost, floor):
                 if validate(g, inst, RoutingSolution(status, depth, paths=paths)):
                     raise SolverError("planned schedule failed validation")
                 timings["solve_s"] += time.monotonic() - t1
-                return status, (teg, None, (teams, paths), result_gap(status, cost, floor))
+                return status, (teg, None, paths, result_gap(status, cost, floor))
         t2 = time.monotonic()
         model = bilp.build_model(teg, costs)
         t3 = time.monotonic()
@@ -336,284 +284,10 @@ def _deepen(g, inst, cfg, costs):
             raise RouteError("deeper expansion unexpectedly infeasible")
     if status == "deadline_exceeded":
         return result("timed_out")
-    return result(status, found)
-
-
-def plan_paths(teg, costs, walks=None, mode=None):
-    """A schedule planned without any LP, and a lower bound on the model optimum.
-
-    Returns ``(paths, floor)`` in the qubit order of ``extract_paths``;
-    ``plan_expansion`` narrows the expansion with them and ``walk_bound``,
-    which extends the floor to a bound per cell.  ``walks`` is
-    ``_solo_walks`` of ``teg`` and ``costs``, computed here when not given.
-
-    ``floor`` sums, over qubits, the cost of the cheapest walk of ``depth``
-    steps from the qubit's source to any destination of its team over the
-    team's trimmed moves, with no other qubit present (``inf`` when a qubit
-    has none).  Dropping every row that couples qubits, and every row that
-    keeps destinations distinct, leaves exactly these walks, so the floor
-    bounds the model optimum from below.
-
-    ``paths`` comes from prioritized planning: each qubit gets a distinct
-    destination of its team from the matching of ``lower_bound_matching``,
-    and the qubits are routed one at a time, those with the fewest spare
-    steps (``depth`` minus the hops to their destination) first, ties by
-    qubit number.  Each walk is a min-cost dynamic program over timesteps on
-    the team's trimmed moves that leaves out, at each step t, the moves that
-    the qubits routed before it forbid: a move into a node an earlier qubit
-    holds at t (exclusivity); a move i -> j, i != j, when the earlier qubit
-    on j at t - 1 goes anywhere but i; and a move i -> j, i != j, when an
-    earlier qubit enters i at t from anywhere but j (swap pairing).  The
-    backward pass keeps, per step and node, the move that starts the
-    cheapest walk on from there, ties to the lowest move index, and the
-    walk follows that table from the source.
-
-    A qubit whose team has a single destination first follows its solo
-    walk, ``_solo_walks``'s table of the same program with nothing blocked,
-    and keeps it when no move on it is blocked.  That is the walk the
-    program would find: blocking only raises costs to go, so the walk keeps
-    its cost, and each of its moves stays the first minimum at its node.
-
-    The planner restarts by moving one qubit to the front of the routing
-    order and routing every qubit again (Bennewitz, Burgard & Thrun,
-    Robotics and Autonomous Systems 2002).  When a qubit has no walk left
-    and is not first, it moves to the front.  When it is first already, the
-    planner forbids the pair of that qubit and its destination, adds it to
-    the pairs forbidden before, matches again at levels up to ``depth`` and
-    routes every qubit again from scratch in the order of the new matching.
-    In ``near_optimal`` mode, a schedule that ``solver.settled`` does not
-    take against the floor moves the qubit whose walk costs the most over
-    its solo walk (the lowest on ties) to the front; the planner stops at
-    the first schedule the mode takes, or when that qubit is first already,
-    and returns the cheapest schedule it found.  The other modes take the
-    first schedule.  There are at most as many restarts, and as many
-    re-matches, as there are qubits.  ``paths`` is None when no pass
-    completes a schedule: there is no matching at ``depth``, the forbidden
-    pairs leave no matching (a qubit of a team with a single destination
-    that has no walk when first ends the plan so), or the budget runs out
-    with a qubit still left with no walk.
-    """
-    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    n_moves = len(tab.moves)
-    sources, teams, team_cost, _, solo_best, solo = walks or _solo_walks(teg, costs)
-    floor = float(sum(solo.tolist()))
-    targets = np.append(tab.targets, 0)
-    steps = np.arange(depth)
-    nodes = np.arange(g.node_count)
-    next_node = tab.targets.tolist()
-
-    def follow(a, table):  # the moves from a's source along a per-step, per-node move table
-        node, moves = sources[a], []
-        for best_t in table:
-            moves.append(best_t[node])
-            node = next_node[moves[-1]]
-        return np.array(moves, dtype=np.intp)
-
-    def route_all(matched, order):
-        """(paths, spent, None), with the cost of each qubit's walk, or (None,
-        None, a) when qubit a has no walk left."""
-        blocked = np.zeros((depth, n_moves + 1), dtype=bool)  # moves the routed qubits forbid
-        paths, spent = [None] * len(sources), solo.tolist()
-        for a in order:
-            moves = None
-            if len(inst.destinations[teams[a]]) == 1 and solo[a] < np.inf:
-                moves = follow(a, solo_best[:, teams[a]].tolist())
-                if blocked[steps, moves].any():
-                    moves = None
-            if moves is None:
-                step_cost = np.where(blocked, np.inf, team_cost[teams[a]])
-                # per step and node, the move that starts its cheapest walk on: the
-                # first minimum over the node's ascending moves, so the lowest index on ties
-                best = np.empty((depth, g.node_count), dtype=np.intp)
-                to_go = np.full(g.node_count, np.inf)
-                to_go[matched[a]] = 0.0
-                for t in reversed(range(depth)):
-                    cand = step_cost[t] + to_go[targets]  # per move: its cost plus the cost to go
-                    best[t] = tab.moves_from[nodes, cand[tab.moves_from].argmin(axis=1)]
-                    to_go = cand[best[t]]
-                if to_go[sources[a]] == np.inf:
-                    return None, None, a
-                moves = follow(a, best.tolist())
-                spent[a] = to_go[sources[a]].item()
-            u, w = tab.origins[moves], tab.targets[moves]
-            paths[a] = (sources[a], *w.tolist())
-            mine = np.zeros_like(blocked)
-            mine[steps[:, None], tab.moves_into[w]] = True  # every move into w
-            mine[steps[:, None], tab.moves_into[u]] = True  # into u, but for the swap w -> u
-            mine[steps[:, None], tab.moves_from[w]] = True  # out of w, but for the swap w -> u
-            swapped = u != w
-            # both directions of an edge are adjacent movements (see texpand.GraphTables)
-            mine[steps[swapped], moves[swapped] ^ 1] = False
-            blocked |= mine
-        return tuple(paths), spent, None
-
-    forbidden = set()  # (qubit, destination) pairs taken away by a re-match
-    order = None  # the routing order, None until the next matching sets it
-    rematches = restarts = 0
-    kept, kept_cost = None, math.inf  # the cheapest schedule so far
-    while True:
-        if order is None:
-            level, matched = _match_destinations(g, inst, depth, forbidden)
-            if level is None:
-                return kept, floor
-            order = sorted(range(len(sources)), key=lambda a: (
-                depth - tab.hops_from(sources[a]).item(matched[a]), a))
-        paths, spent, a = route_all(matched, order)
-        if paths is not None:
-            cost = sum(spent)
-            if cost < kept_cost:
-                kept, kept_cost = paths, cost
-            if mode != "near_optimal" or settled(mode, kept_cost, floor):
-                return kept, floor
-            a = int(np.argmax(spent - solo))  # the worst qubit, the lowest on ties
-        if a != order[0] and restarts < len(sources):
-            restarts += 1
-            order.remove(a)
-            order.insert(0, a)
-        elif paths is None and rematches < len(sources):
-            rematches += 1
-            forbidden.add((a, matched[a]))
-            order = None
-        else:
-            return kept, floor
-
-
-class Plan(NamedTuple):
-    """What ``plan_expansion`` plans for one depth attempt."""
-
-    expansion: texpand.TimeExpandedGraph  # narrowed when asked and there is a schedule
-    paths: tuple | None    # the schedule, None without one
-    cost: float | None     # the schedule's objective, as ``solver.solve`` sums a start
-    floor: float           # ``plan_paths``'s lower bound on the model optimum
-    start: np.ndarray | None  # the schedule as the model's int8 assignment
-    basis: np.ndarray | None  # the cheapest-walk forest, a bool mask over the columns
-
-
-def plan_expansion(teg, costs, narrow, mode=None):
-    """``plan_paths`` on ``teg``, and ``teg`` narrowed to the schedule when
-    ``narrow`` is set and there is one.  ``start`` and ``basis`` lie over
-    the columns of the returned expansion's model in ``bilp.build_model``'s
-    order, and ``cost`` is that model's objective times ``start`` in that
-    order, bit for bit ``solver.solve``'s incumbent objective.  ``mode``,
-    the attempt's solver mode, reaches ``plan_paths``, which restarts for
-    cost only in ``near_optimal``.  When it is given and
-    ``solver.settled(mode, cost, floor)`` takes the schedule, no model will
-    be built, and ``start`` and ``basis`` are None.
-
-    ``start`` is the schedule as that model's int8 assignment, None without
-    a schedule: its own cells, then the attachments, every source one at 1
-    and a destination one at 1 when a path of its team ends on its node.
-
-    A solution that beats the schedule by more than ``_OBJ_TOL`` sets to 1
-    only cells whose ``walk_bound`` lies below the schedule's cost less
-    ``_OBJ_TOL``.  The narrowed expansion keeps those cells and the
-    schedule's own, whose bound can reach its cost, so its model holds the
-    schedule and every solution that beats it.  The planner and the bound
-    share one ``_solo_walks`` table.
-
-    ``basis`` is the cheapest-walk forest of that table, a bool mask: the
-    cells of the moves that ``_solo_walks`` records, one per team, step and
-    node with a finite cost to go, where the returned mask holds them, then
-    every attachment.  Under the costs to go as node potentials no movement
-    has a negative reduced cost, so the forest is a dual feasible start for
-    the root LP (``solver.solve``'s ``basis``).  The walks come from the
-    expansion before narrowing.  A cell kept for its walk bound keeps the
-    forest move out of its target, whose walk bound is no larger; the forest
-    moves that narrowing drops are left out, and HiGHS completes the basis
-    without them.
-    """
-    walks = _solo_walks(teg, costs)
-    paths, floor = plan_paths(teg, costs, walks, mode)
-    tab, inst, (_, teams, team_cost, to_go, best, _) = teg.tables, teg.instance, walks
-    n_src = sum(map(len, inst.sources))
-    attachments = n_src + sum(map(len, inst.destinations))
-    start = cost = None
-    if paths is not None:
-        move_of = np.zeros((teg.graph.node_count,) * 2, dtype=np.intp)
-        move_of[tab.origins, tab.targets] = np.arange(len(tab.moves))
-        p = np.array(paths)
-        planned = np.zeros_like(teg.mask)  # the schedule's own cells
-        planned[np.array(teams)[:, None], np.arange(teg.depth),
-                move_of[p[:, :-1], p[:, 1:]]] = True
-        if narrow:
-            below = walk_bound(teg, costs, walks) < team_cost[..., :-1][planned].sum() - _OBJ_TOL
-            teg = replace(teg, mask=planned | below)
-        cells, pad = planned[teg.mask], np.zeros(attachments)  # attachments cost 0
-        cost = float(np.append(team_cost[..., :-1][teg.mask], pad) @ np.append(cells, pad))
-        if mode is not None and settled(mode, cost, floor):
-            return Plan(teg, paths, cost, floor, None, None)
-        ends = set(zip(teams, p[:, -1].tolist()))
-        reached = [(k, v) in ends for k, dst in enumerate(inst.destinations) for v in dst]
-        start = np.concatenate([cells, np.ones(n_src, bool), reached]).astype(np.int8)
-    # a node with no walk on marks the padding move, which no column holds
-    forest = np.zeros(team_cost.shape, dtype=bool)
-    forest[np.arange(inst.team_count)[:, None], np.arange(teg.depth)[:, None, None],
-           np.where(np.isfinite(to_go[:-1]), best, len(tab.moves))] = True
-    basis = np.append(forest[..., :-1][teg.mask], np.ones(attachments, bool))
-    return Plan(teg, paths, cost, floor, start, basis)
-
-
-def _solo_walks(teg, costs):
-    """The solo-walk tables behind ``plan_paths``'s floor and
-    ``plan_expansion``'s forest.
-
-    Returns ``(sources, teams, team_cost, to_go, best, solo)``: per qubit
-    its source and team; per team, step and move the move's cost, inf where
-    the trim drops it, with one more move at inf, the padding index of the
-    movement tables; per step t = 0..depth, team and node the cost of the
-    cheapest walk from that node at t to any destination of the team; per
-    step t = 0..depth - 1, team and node the move that starts that walk,
-    the first minimum over the node's ascending moves, so the lowest index
-    on ties (any move of the node where the cost is inf); and per qubit the
-    cost of its cheapest walk from its source.
-    """
-    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    n_moves = len(tab.moves)
-    sources = [s for src in inst.sources for s in src]
-    teams = [k for k, src in enumerate(inst.sources) for _ in src]
-    team_cost = np.full((inst.team_count, depth, n_moves + 1), np.inf)
-    team_cost[..., :n_moves] = np.where(teg.mask, costs.vector(tab.moves), np.inf)
-    targets = np.append(tab.targets, 0)  # the padding move's target is any node
-    to_go = np.full((depth + 1, inst.team_count, g.node_count), np.inf)
-    for k, dst in enumerate(inst.destinations):
-        to_go[depth, k, list(dst)] = 0.0
-    best = np.empty((depth, inst.team_count, g.node_count), dtype=np.intp)
-    nodes, team = np.arange(g.node_count), np.arange(inst.team_count)[:, None]
-    for t in reversed(range(depth)):
-        cand = team_cost[:, t] + to_go[t + 1][:, targets]  # per team and move
-        best[t] = tab.moves_from[nodes, cand[:, tab.moves_from].argmin(axis=2)]
-        to_go[t] = cand[team, best[t]]
-    return sources, teams, team_cost, to_go, best, to_go[0, teams, sources]
-
-
-def walk_bound(teg, costs, walks=None):
-    """Per (team, step, move) cell of ``teg``, shaped as its mask, a lower
-    bound on the cost of every solution that sets the cell's movement
-    column to 1.  ``walks`` is as in ``plan_paths``.
-
-    A solution that moves a team-k qubit along movement m at step t costs at
-    least, for one qubit a of team k, the cheapest walk of a through that
-    move, plus the cheapest solo walks of all other qubits: ``plan_paths``'s
-    floor, less a's solo walk, plus a's walk through the move.  The bound of
-    a cell is the least of these over the team's qubits (inf when none has
-    such a walk, as on every cell the trim drops).
-    """
-    g, inst, depth, tab = teg.graph, teg.instance, teg.depth, teg.tables
-    sources, teams, team_cost, to_go, _, solo = walks or _solo_walks(teg, costs)
-    floor = sum(solo.tolist())
-    origins, targets = np.append(tab.origins, 0), np.append(tab.targets, 0)
-    # per qubit and node, the cost of its cheapest walk from its source to there
-    reach = np.full((len(sources), g.node_count), np.inf)
-    reach[np.arange(len(sources)), sources] = 0.0
-    # per qubit, step and move, the cost of its cheapest walk through the move
-    through = np.empty((len(sources), depth, len(tab.moves) + 1))
-    for t in range(depth):
-        step = reach[:, origins] + team_cost[teams, t]
-        np.add(step, to_go[t + 1, teams][:, targets], out=through[:, t])
-        reach = step[:, tab.moves_into].min(axis=2)
-    through += (floor - solo)[:, None, None]
-    first = np.cumsum([0] + [len(src) for src in inst.sources[:-1]])
-    return np.minimum.reduceat(through[..., :-1], first, axis=0)
+    teg, model, paths, gap = found
+    if model is not None:  # the solver's assignment, decoded
+        paths = extract_paths(paths, teg, model)
+    return result(status, (teg, model, paths, gap))
 
 
 def extract_paths(assignment, teg, model):
@@ -631,7 +305,6 @@ def extract_paths(assignment, teg, model):
         if key in chosen:
             raise RouteError(f"flow decode failure: two movements out of {key}")
         chosen[key] = j
-    teams = []
     paths = []
     for k in range(inst.team_count):
         for s in inst.sources[k]:
@@ -641,9 +314,8 @@ def extract_paths(assignment, teg, model):
                 if key not in chosen:
                     raise RouteError(f"flow decode failure: no movement out of {key}")
                 path.append(chosen[key])
-            teams.append(k)
             paths.append(tuple(path))
-    return tuple(teams), tuple(paths)
+    return tuple(paths)
 
 
 def schedule_from_paths(paths):

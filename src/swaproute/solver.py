@@ -26,7 +26,7 @@ sets in one call the bounds of the columns whose fixing changed since the
 last re-solve, then re-solves from the previous basis.  The root starts
 from the slack basis, or from the ``basis`` mask that the call passes:
 ``route`` passes the cheapest-walk forest of its planner
-(``route.plan_expansion``), whose costs to go make every reduced cost
+(``plan.plan_expansion``), whose costs to go make every reduced cost
 nonnegative, so the dual simplex starts dual feasible and only has to
 resolve the conflicts between the qubits' walks (Bixby, "Implementing the
 simplex method: the initial basis", ORSA J. Computing 1992).  On a
@@ -60,7 +60,7 @@ the open branches.  The start and the floor never change the search
 order, and a call without them searches as before.  ``route`` passes its
 LP-free planner's schedule, as an assignment of the model's columns, and
 its floor, and in ``optimal`` mode it has already built the model over
-only the columns that can beat that schedule (``route.plan_expansion``),
+only the columns that can beat that schedule (``plan.plan_expansion``),
 so the solver searches every column it gets.
 A ``basis`` changes only where the root LP starts.  Every relaxation is
 still solved to optimality, so bounds, prunes and stops follow the same

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from swaproute import bilp, cli, oracle, route, solver, texpand
+from swaproute import bilp, cli, oracle, plan, route, solver, texpand
 from swaproute.bilp import BilpModel, Row
 from swaproute.graph import build_grid, build_layout
 from swaproute.instance import MqpfInstance, random_instance
@@ -276,11 +276,11 @@ def desk_model(seed=0, depth=7):
 
 
 def desk_forest(seed=0, depth=7, narrow=False):
-    """The model that ``route.plan_expansion`` leaves of ``desk_expansion``,
+    """The model that ``plan.plan_expansion`` leaves of ``desk_expansion``,
     narrowed when ``narrow`` is set, and its cheapest-walk forest."""
     teg, costs = desk_expansion(seed, depth)
-    plan = route.plan_expansion(teg, costs, narrow)
-    return bilp.build_model(plan.expansion, costs), plan.basis
+    planned = plan.plan_expansion(teg, costs, narrow)
+    return bilp.build_model(planned.expansion, costs), planned.basis
 
 
 class CountingHighs:
@@ -446,7 +446,7 @@ def test_forest_start_reads_infeasible_root_lps():
             for depth in range(route.lower_bound_matching(g, inst),
                                oracle.bfs_optimal_depth(g, inst)):
                 teg = route.expansion_at_depth(g, inst, depth)
-                basis = route.plan_expansion(teg, costs, narrow=False).basis
+                basis = plan.plan_expansion(teg, costs, narrow=False).basis
                 model = bilp.build_model(teg, costs)
                 if not solver._Propagator(model).propagate_all():
                     continue
@@ -511,12 +511,12 @@ def test_rejected_basis_is_solver_error(monkeypatch, capsys):
     model, basis = desk_forest()
     with pytest.raises(SolverError, match="rejected the starting basis"):
         solve(model, basis=basis[:-1])
-    plan = route.plan_expansion
+    plan_expansion = plan.plan_expansion
 
     def short(*args, **kwargs):
-        planned = plan(*args, **kwargs)
+        planned = plan_expansion(*args, **kwargs)
         return planned._replace(basis=planned.basis[:-1])
-    monkeypatch.setattr(route, "plan_expansion", short)
+    monkeypatch.setattr(plan, "plan_expansion", short)
     assert cli.main(["solve", "--layout", "grid:8x8", "--random", "8", "--seed", "0"]) == 6
     assert "rejected the starting basis" in capsys.readouterr().err
 
@@ -873,9 +873,9 @@ def test_stopped_search_bound_and_gap_hold_against_optimum():
         model = routing_model(g, inst, 4, "extended")
         optimum = solve(model, SolverConfig(mode="optimal")).objective
         teg = texpand.trim(texpand.expand(g, inst, 4))
-        plan = route.plan_expansion(
+        planned = plan.plan_expansion(
             teg, movement_costs(g, uniform_error_map(g, eps=0.003), "extended"), narrow=False)
-        start, floor = plan.start, plan.floor
+        start, floor = planned.start, planned.floor
         hints = [{}]
         if start is not None:
             hints.append(dict(start=start, floor=floor))
@@ -942,8 +942,8 @@ def planned_desk_model():
     inst = random_instance(g, 8, "independent", 0)
     costs = movement_costs(g, sample_error_map(g, HERON, 1000), "extended")
     teg, model = route.model_at_depth(g, inst, costs, 7)
-    plan = route.plan_expansion(teg, costs, narrow=False)
-    return model, plan.start, plan.floor
+    planned = plan.plan_expansion(teg, costs, narrow=False)
+    return model, planned.start, planned.floor
 
 
 @pytest.mark.parametrize("mode", ("near_optimal", "feasible_first"))
