@@ -48,8 +48,8 @@ top-level ``scipy`` package and registered under its canonical name, so
 importing the solver never runs ``scipy.optimize``'s package init, which
 costs about 0.4 s and 40 MB of RSS against 5 ms for the extension (2-core
 x86-64, scipy 1.17.1).  An extension already imported, as ``scipy.optimize``
-imports it, is reused.  ``linprog`` is a placeholder ``None`` that nothing
-calls, kept because ``perfbench/spans.py`` wraps that name.
+imports it, is reused.  Every re-solve goes through ``linprog``, the LP
+layer's one entry point, so a wrapper of that name sees each LP run.
 
 A call may pass a ``start`` and a ``floor``.  ``start`` must pass the exact
 row check, and it becomes the first incumbent.  ``floor`` is a proven lower
@@ -72,19 +72,6 @@ when.  ``solve`` asks it before the root, where the bound is the floor, and
 before each backtrack.  ``route`` asks it of its planner's schedule and floor
 before any model is built, and an attempt that it settles there ends with
 the planner's paths, so a start from ``route`` is one the rule left open.
-
-Reduced-cost fixing runs on the root's relaxation alone (Achterberg,
-*Constraint Integer Programming*, 2007, section 7.7).  At a fractional root,
-in every mode, the search keeps the root bound z and reduced costs d.  A
-column free at the root and nonbasic at 0 there lifts the bound of every
-solution that sets it to 1 to at least z + d_j.  Once z + d_j, less HiGHS's
-dual feasibility tolerance, reaches the incumbent, every later relaxation
-bounds the column to [0, 0].  That is a bound change like any node's
-fixing, so the column stays in the LP and the warm basis stays valid,
-whether the column is basic or not.  The root bounds every node, so the
-rule holds in the whole tree, and since the incumbent only improves, the
-set of such columns only grows.  ``feasible_first`` stops at its first
-incumbent, so the rule never applies there.
 """
 
 from __future__ import annotations
@@ -134,8 +121,11 @@ def _load_highs():
 
 _highs = _load_highs()
 
-# a name only: perfbench/spans.py wraps solver.linprog, and Tracer.install fails without it
-linprog = None
+
+def linprog(highs):
+    """Re-solves the LP that ``highs`` holds; every relaxation runs through here."""
+    highs.run()
+
 
 MODES = ("optimal", "near_optimal", "feasible_first")
 
@@ -278,14 +268,11 @@ class _LpRelaxation:
     The model's CSR rows go to HiGHS as they are, and every column stays
     there until the search ends.  Each node sets the bounds of the columns
     whose fixing differs from the one last sent, [v, v] where it fixes the
-    column to v, [0, 0] where it leaves free a column of ``zero`` and [0, 1]
-    where it leaves free any other, and re-solves with the dual simplex from
-    the previous basis.  ``sent`` keeps those fixings, one int8 per column
-    (-1 = free), so a node pays for what changed since the last re-solve,
-    whatever the fixings it passes.  ``zero`` masks the columns that the
-    search rules out by reduced costs (see the module docstring); a node
-    that fixes one of them to 1 is infeasible.  The HiGHS object comes from
-    the idle list when it holds one, and ``release`` gives it back there.
+    column to v and [0, 1] where it leaves it free, and re-solves with the
+    dual simplex from the previous basis.  ``sent`` keeps those fixings, one
+    int8 per column (-1 = free), so a node pays for what changed since the
+    last re-solve, whatever the fixings it passes.  The HiGHS object comes
+    from the idle list when it holds one, and ``release`` gives it back there.
 
     ``basis``, when given, replaces the slack basis that the first ``run()``
     starts from.  It is a bool mask over the columns: ``setBasis`` makes the
@@ -298,7 +285,6 @@ class _LpRelaxation:
 
     def __init__(self, model, basis=None):
         n = model.var_count
-        self.zero = np.zeros(n, dtype=bool)
         self.sent = np.full(n, -1, dtype=np.int8)
         # "=" rows get lower = upper = rhs, "<=" rows get lower = -inf
         rhs = model.rhs.astype(float)
@@ -336,25 +322,21 @@ class _LpRelaxation:
         _IDLE_HIGHS.append(highs)
 
     def bound(self, values, time_left=math.inf):
-        """Relaxation of the subproblem with ``values`` fixed (-1 = free) and
-        the columns of ``zero`` at 0.
+        """Relaxation of the subproblem with ``values`` fixed (-1 = free).
 
         Returns (bound, x), or None when the subproblem is infeasible.
         Raises ``_LpTimeLimit`` when the solve takes longer than
         ``time_left`` seconds.
         """
-        if (values[self.zero] == 1).any():
-            return None
-        values = np.where(self.zero, 0, values)
         changed = np.flatnonzero(values != self.sent).astype(np.int32)
         if changed.size:
             fixed = values[changed]
             self.highs.changeColsBounds(changed.size, changed, (fixed == 1).astype(float),
                                         (fixed != 0).astype(float))
-            self.sent = values
+            self.sent = values.copy()  # the caller changes its fixings in place
         # HiGHS holds the limit against its run time summed over every run
         self.highs.setOptionValue("time_limit", self.highs.getRunTime() + max(time_left, 0.0))
-        self.highs.run()
+        linprog(self.highs)
         status = self.highs.getModelStatus()
         # every column is boxed in [0, 1], so "unbounded or infeasible" is infeasible
         if status in (_highs.HighsModelStatus.kInfeasible,
@@ -445,9 +427,6 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
     prop = _Propagator(model)
     if not prop.propagate_all():
         return result("infeasible")
-    # per column, a lower bound from the root's reduced costs on every solution
-    # that sets it to 1 (-inf where none is known), set at a fractional root
-    col_floor = None
 
     while True:
         if time.monotonic() > stop_at:
@@ -459,9 +438,6 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
             cand = None
             if lp is None:
                 lp = _LpRelaxation(model, basis)
-            elif col_floor is not None:
-                # no solution that sets these columns to 1 can beat the incumbent
-                lp.zero = col_floor >= inc_obj - _OBJ_TOL
             try:
                 relaxed = lp.bound(prop.values, stop_at - time.monotonic())
             except _LpTimeLimit:
@@ -471,14 +447,6 @@ def solve(model, cfg: SolverConfig | None = None, deadline: float | None = None,
                 if np.abs(x - np.round(x))[free].max() <= _INT_TOL:
                     cand = np.where(free, np.round(x), prop.values).astype(np.int8)
                 else:
-                    if nodes == 1:
-                        # a column nonbasic at 0 costs at least its reduced cost d
-                        # more; HiGHS's dual tolerance covers d's own error.  The
-                        # solution is fetched again, not kept from bound(): one kept
-                        # across re-solves raised desk8x8's peak RSS by about 1.7 MB
-                        d = np.asarray(lp.highs.getSolution().col_dual)
-                        tol = lp.highs.getOptionValue("dual_feasibility_tolerance")[1]
-                        col_floor = np.where(free & (d > tol), bound + d - tol, -np.inf)
                     # branch on the most fractional free variable, ties by ordinal
                     v = int(np.argmax(np.where(free, 0.5 - np.abs(x - 0.5), -1.0)))
                     preferred = 1 if x[v] >= 0.5 else 0

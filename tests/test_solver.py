@@ -173,19 +173,6 @@ def test_one_swap_objective():
     assert res.objective == pytest.approx(-3.0 * math.log(0.999), abs=1e-12)
 
 
-def count_priced_out(monkeypatch):
-    """Columns priced out by root reduced costs (``_LpRelaxation.zero``) at
-    each ``_LpRelaxation.bound`` call from here on, one entry per call."""
-    counts = []
-    bound = solver._LpRelaxation.bound
-
-    def counted(lp, *args):
-        counts.append(int(lp.zero.sum()))
-        return bound(lp, *args)
-    monkeypatch.setattr(solver._LpRelaxation, "bound", counted)
-    return counts
-
-
 def set_packing_model(rng):
     """A random model of 10-13 variables whose rows alternate between "= 1"
     and "<= 1" over 3-4 of them."""
@@ -197,11 +184,9 @@ def set_packing_model(rng):
     return toy_model(rng.random(n).round(3).tolist(), rows)
 
 
-def test_solver_matches_brute_force(monkeypatch):
+def test_solver_matches_brute_force():
     """Small routing models, which all solve at the root, then random
-    set-packing and set-partitioning models, some of which branch and so
-    reach root reduced-cost fixing."""
-    priced = count_priced_out(monkeypatch)
+    set-packing and set-partitioning models, some of which branch."""
     rng = np.random.default_rng(0)
     models = []
     for seed in range(60):
@@ -223,12 +208,10 @@ def test_solver_matches_brute_force(monkeypatch):
         else:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(expect[0], abs=1e-9)
-    assert max(priced) > 0
 
 
-def cold_relaxation(model, values, zero=None):
-    """Reference LP bound: rows assembled in Python, one cold ``linprog`` call.
-    Columns in the mask ``zero`` get upper bound 0."""
+def cold_relaxation(model, values):
+    """Reference LP bound: rows assembled in Python, one cold ``linprog`` call."""
     parts = {"=": ([], [], [], []), "<=": ([], [], [], [])}
     for r in model.rows:
         data, ri, ci, rhs = parts[r.rel]
@@ -247,12 +230,7 @@ def cold_relaxation(model, values, zero=None):
 
     a_eq, b_eq = matrix("=")
     a_ub, b_ub = matrix("<=")
-    if zero is None:
-        zero = np.zeros(model.var_count, dtype=bool)
-    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 or z else 1.0)
-              for v, z in zip(values, zero)]
-    if any(lo > hi for lo, hi in bounds):
-        return None
+    bounds = [(1.0 if v == 1 else 0.0, 0.0 if v == 0 else 1.0) for v in values]
     res = linprog(model.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 2:
@@ -298,35 +276,25 @@ class CountingHighs:
         return self._highs.changeColsBounds(n, *args)
 
 
-def check_dive(model, price, basis=None):
-    """The relaxation starts from ``basis`` (the slack basis when None).
-    With ``price``, three fractional root columns, which are basic, and a
-    third of the root zeros outside the dive are priced out at the root, and
-    another third at step 5.  The basis must stay valid; the bounds must then
-    match a cold LP with the priced-out columns at upper bound 0, and ``x``
-    must be 0 on them.  The dive then backtracks as the search does, to
-    earlier nodes at once, which frees fixings to 0 and to 1 together.  Each
-    ``bound`` call must send HiGHS the columns whose fixing, with the
-    priced-out ones at 0, changed since the last call and no others, and
-    HiGHS must then hold those fixings.  A node that fixes a priced-out
-    column to 1 is infeasible."""
+def check_dive(model, basis=None):
+    """The relaxation starts from ``basis`` (the slack basis when None).  The
+    bounds along a dive must match a cold LP.  The dive changes ``values`` in
+    place, as the search does, then backtracks to earlier nodes at once,
+    which frees fixings to 0 and to 1 together.  Each ``bound`` call must
+    send HiGHS the columns whose fixing changed since the last call and no
+    others, HiGHS must then hold those fixings, and the basis must stay
+    valid."""
     lp = solver._LpRelaxation(model, basis)
     counts = []
     lp.highs = CountingHighs(lp.highs, counts)
     values = np.full(model.var_count, -1, dtype=np.int8)
     last = values.copy()  # the fixings last sent to HiGHS
-    priced = np.zeros(model.var_count, dtype=bool)
 
     def bound(values):
-        sent = np.where(priced, 0, values)
-        closed = (values[priced] == 1).any()
         counts.clear()
         res = lp.bound(values)
-        assert sum(counts) == (0 if closed else int((sent != last).sum()))
-        if closed:
-            assert res is None
-        else:
-            last[:] = sent
+        assert sum(counts) == int((values != last).sum())
+        last[:] = values
         held = lp.highs.getLp()
         assert np.array_equal(held.col_lower_, (last == 1).astype(float))
         assert np.array_equal(held.col_upper_, (last != 0).astype(float))
@@ -346,36 +314,18 @@ def check_dive(model, price, basis=None):
     ones = [v for v in ones if v not in clash]
     zeros = [v for v in zeros if v not in clash]
 
-    def price_out(cols):
-        priced[cols] = True
-        lp.zero = priced.copy()
-
-    if price:
-        fractional = rng.permutation(np.flatnonzero((x0 > 1e-9) & (x0 < 1 - 1e-9)))[:3]
-        status = lp.highs.getBasis().col_status
-        assert all(status[v] == solver._highs.HighsBasisStatus.kBasic for v in fractional)
-        price_out(list(fractional) + zeros[20::3])
-        # the fractional columns held at 0 move the bound
-        warm = bound(values)
-        assert warm[0] == pytest.approx(cold_relaxation(model, values, priced), rel=0, abs=1e-9)
-        assert warm[0] > root[0] + 1e-6
-        assert not warm[1][priced].any()
-
     def cold_bound():
         """The cold bound of the node ``values``, after checking the warm one against it."""
-        warm, cold = bound(values), cold_relaxation(model, values, priced)
+        warm, cold = bound(values), cold_relaxation(model, values)
         if cold is None:
             assert warm is None
         else:
             assert warm is not None and warm[0] == pytest.approx(cold, rel=0, abs=1e-9)
-            assert not warm[1][priced].any()
         return cold
 
     infeasible = 0
     snapshots = [values.copy()]  # the root, then the nodes after steps 2 and 7
     for step in range(20):
-        if step == 5 and price:
-            price_out(zeros[21::3])
         if step == 10:
             values[list(clash)] = 1
         elif step == 11:
@@ -397,17 +347,31 @@ def check_dive(model, price, basis=None):
         values[:] = snapshot
         back = cold_bound()
         assert back is not None and (zeroed is None or zeroed > back + 1e-6)
-    if price:
-        # a node that fixes a priced-out column to 1 is infeasible
-        values[np.flatnonzero(priced)[0]] = 1
-        assert bound(values) is None and cold_relaxation(model, values, priced) is None
 
 
 def test_warm_relaxation_matches_cold_along_dive():
     # from the slack basis and from the cheapest-walk forest
     model, forest = desk_forest()
-    for basis, price in itertools.product((None, forest), (False, True)):
-        check_dive(model, price, basis)
+    for basis in (None, forest):
+        check_dive(model, basis)
+
+
+def test_every_relaxation_runs_through_linprog(monkeypatch):
+    # solver.linprog is the name a tracer wraps to see LP work: each bound()
+    # call must make exactly one call to it
+    runs, per_bound = [], []
+    linprog_ = solver.linprog
+    bound = solver._LpRelaxation.bound
+
+    def counted_bound(lp, *args):
+        before = len(runs)
+        res = bound(lp, *args)
+        per_bound.append(len(runs) - before)
+        return res
+    monkeypatch.setattr(solver, "linprog", lambda highs: runs.append(1) or linprog_(highs))
+    monkeypatch.setattr(solver._LpRelaxation, "bound", counted_bound)
+    assert solve(desk_model(0, 7)).status == "optimal"
+    assert per_bound and set(per_bound) == {1}
 
 
 def root_iterations(model, basis=None):
@@ -694,12 +658,12 @@ def outcome(res):
 
 
 def test_reused_highs_leaves_no_trace(monkeypatch):
-    """One HiGHS object goes through an LP time limit, pricing-out and an
-    infeasible LP; solves on it then match solves on fresh objects, a
+    """One HiGHS object goes through an LP time limit, a branching search and
+    an infeasible LP; solves on it then match solves on fresh objects, a
     forest-started solve first, so that its basis would show in the others."""
     rng = np.random.default_rng(0)
     packing = [set_packing_model(rng) for _ in range(10)]
-    pricing, toy = packing[3], packing[9]  # 4 nodes with pricing-out; 2 nodes
+    branching, toy = packing[3], packing[9]
     # no row forces a variable, but the two "= 1" rows overfill the "<= 1" row
     infeasible_lp = toy_model([1.0] * 4, [Row("a", (0, 1), (), "=", 1),
                                           Row("b", (2, 3), (), "=", 1),
@@ -727,8 +691,7 @@ def test_reused_highs_leaves_no_trace(monkeypatch):
     [highs] = pool
     assert highs.getOptionValue("output_flag")[1] is False
     assert highs.getOptionValue("presolve")[1] == "off"
-    priced = count_priced_out(monkeypatch)
-    assert solve(pricing).status == "optimal" and max(priced) > 0
+    assert solve(branching).status == "optimal"
     calls = count_lp_builds(monkeypatch)
     res = solve(infeasible_lp)
     assert res.status == "infeasible" and res.nodes == 1 and calls
@@ -746,8 +709,7 @@ DESK_OPTIMA = {0: 0.46290207497436264, 2: 0.4846704401502288,
 
 
 @pytest.mark.parametrize("seed", sorted(DESK_OPTIMA))
-def test_root_reduced_cost_fixing_keeps_desk_optima(seed, monkeypatch):
-    priced = count_priced_out(monkeypatch)
+def test_desk_optima_and_mode_dominance(seed):
     g = build_grid(8, 8)
     inst = random_instance(g, 8, "independent", seed)
     emap = sample_error_map(g, HERON, seed + 1000)
@@ -761,7 +723,6 @@ def test_root_reduced_cost_fixing_keeps_desk_optima(seed, monkeypatch):
         if mode == "optimal":
             assert sol.status == "optimal"
             assert sol.cost == pytest.approx(DESK_OPTIMA[seed], rel=0, abs=1e-9)
-            assert max(priced) > 0
     assert cost["optimal"] <= cost["near_optimal"] + 1e-9
     assert cost["near_optimal"] <= cost["feasible_first"] + 1e-9
 
@@ -789,50 +750,46 @@ def test_optimal_cost_matches_milp_beyond_the_oracle(layout, qubits, seed):
     assert sol.cost == pytest.approx(res.fun, rel=0, abs=1e-9)
 
 
-def checked_pricing(monkeypatch):
+def checked_warm_starts(monkeypatch):
     """Checks every ``_LpRelaxation.bound`` call from here on: the basis stays
-    valid and ``x`` is 0 on the priced-out columns.  Returns one entry per
-    call that sends newly priced-out columns: how many of them are basic."""
-    basic_priced = []
+    valid and ``x`` holds the node's fixings.  Returns one entry per call."""
+    calls = []
     bound = solver._LpRelaxation.bound
 
-    def checked(lp, *args):
-        new = lp.zero & (lp.sent != 0)  # priced out since the last call
-        if new.any():
-            status = lp.highs.getBasis().col_status
-            basic_priced.append(sum(status[v] == solver._highs.HighsBasisStatus.kBasic
-                                    for v in np.flatnonzero(new)))
-        res = bound(lp, *args)
+    def checked(lp, values, *args):
+        res = bound(lp, values, *args)
         assert lp.highs.getBasis().valid
-        assert res is None or not res[1][lp.zero].any()
+        if res is not None:
+            x = res[1]
+            assert np.allclose(x[values == 0], 0, rtol=0, atol=1e-9)
+            assert np.allclose(x[values == 1], 1, rtol=0, atol=1e-9)
+        calls.append(1)
         return res
     monkeypatch.setattr(solver._LpRelaxation, "bound", checked)
-    return basic_priced
+    return calls
 
 
-def test_pricing_out_a_basic_column_keeps_the_warm_basis(monkeypatch):
-    # on criterion-10 seed 16 at its optimal depth 10, columns basic in the
-    # current basis are priced out; held at 0 by their bounds, they leave
-    # the basis valid
-    basic_priced = checked_pricing(monkeypatch)
+def test_branching_keeps_the_warm_basis_valid(monkeypatch):
+    # criterion-10 seed 16 at its optimal depth 10 branches; every re-solve
+    # starts from the last basis and leaves a valid one
+    calls = checked_warm_starts(monkeypatch)
     res = solve(desk_model(16, 10))
-    assert res.status == "optimal"
+    assert res.status == "optimal" and res.nodes > 1
     assert res.objective == pytest.approx(DESK_OPTIMA[16], rel=0, abs=1e-9)
-    assert sum(basic_priced) > 0
+    assert len(calls) == res.nodes
 
 
 @pytest.mark.parametrize("seed", (0, 14, 16))
-def test_route_searches_hold_priced_out_columns_at_zero(seed, monkeypatch):
+def test_route_searches_keep_a_valid_basis(seed, monkeypatch):
     # the optimal-mode searches of route, planned starts and restrictions
-    # included: columns are priced out, and every re-solve after that keeps
-    # a valid basis and leaves them at 0
-    basic_priced = checked_pricing(monkeypatch)
+    # included: every re-solve keeps a valid basis and holds its fixings
+    calls = checked_warm_starts(monkeypatch)
     g = build_grid(8, 8)
     sol = route.solve_mqpf(g, sample_error_map(g, HERON, seed + 1000),
                            random_instance(g, 8, "independent", seed),
                            route.RouteConfig(error_model="extended", timeout=60))
     assert sol.status == "optimal"
-    assert len(basic_priced) > 0
+    assert len(calls) > 0
 
 
 def test_determinism():
