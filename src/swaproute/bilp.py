@@ -3,10 +3,11 @@
 All variables are binary and all coefficients +/-1.  A model is arrays: CSR
 rows (``indptr``, ``indices``, and ``signs`` with each row's +1 entries before
 its -1 entries), a per-row ``eq`` flag (``=``, else ``<=``) and ``rhs``.
-``build_model`` fills them with numpy gathers of the ``(K, T, M)`` trim mask
-through the movement tables of ``texpand.graph_tables``, built once per graph:
-each constraint family lays out its candidate rows, and one compaction pass
-over all of them drops the rows that are empty or that binarity satisfies.
+``build_model`` fills them with numpy gathers of the ``(K, T, M)`` trim mask,
+and the objective with one of ``MovementCosts.vector``, through the movement
+tables of ``texpand.graph_tables``, built once per graph: each constraint
+family lays out its candidate rows, and one compaction pass over all of them
+drops the rows that are empty or that binarity satisfies.
 Rows keep a fixed order (family, then timestep, team, node or edge) and so do
 variables (movements by team, timestep and movement, then attachments:
 sources, then destinations, each team by team with nodes ascending), so an
@@ -114,7 +115,7 @@ def build_model(teg, costs) -> BilpModel:
     var_keys = np.concatenate([np.column_stack([np.full_like(m_of, MOVE), k_of, t_of + 1,
                                                 tab.origins[m_of], tab.targets[m_of]]),
                                att]).astype(np.int32)
-    objective = np.concatenate([costs.vector(tab.moves)[m_of], np.zeros(len(att))])
+    objective = np.concatenate([costs.vector[m_of], np.zeros(len(att))])
     # per team and node, the ordinal of its source (destination) attachment or -1
     att_ord = np.arange(n_move_vars, len(var_keys), dtype=np.int32)
     att_of = np.full((2, n_teams, n_nodes, 1), -1, dtype=np.int32)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import texpand
+
 #: Default CNOT duration in seconds (typical Heron-class device).
 DEFAULT_CNOT_DURATION = 79e-9
 
@@ -172,13 +174,13 @@ def split_cnot_error(e: float) -> float:
 ERROR_MODELS = ("simple", "extended")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MovementCosts:
     """Per-movement objective costs over a hardware graph.
 
-    One table, ``cost``: ``cost[(i, j)]`` is the cost of the directed swap
-    movement i -> j and ``cost[(v, v)]`` that of idling at node v for one
-    timestep.
+    ``vector``, read-only, holds the cost of each movement of
+    ``texpand.graph_tables(g).moves`` in order, and ``index``, the graph's
+    shared ``move_index``, maps (i, j) to its m.  A table equals only itself.
 
     Simple model: the full SWAP cost ``-3 ln(1 - eps)`` sits on the low-to-high
     direction of each edge, zero on the reverse, so a swapped pair (which uses
@@ -188,38 +190,32 @@ class MovementCosts:
     """
 
     model: str
-    cost: dict = field(repr=False)
-    _vectors: dict = field(default_factory=dict, repr=False, compare=False)
+    vector: np.ndarray = field(repr=False)
+    index: dict = field(repr=False)
+
+    def __post_init__(self):
+        self.vector.flags.writeable = False
 
     def movement_cost(self, i: int, j: int) -> float:
         """Cost of the movement i -> j (idle when i == j)."""
-        return self.cost[(i, j)]
-
-    def vector(self, moves: tuple) -> np.ndarray:
-        """Read-only float array of the costs of ``moves``, a tuple of (i, j)
-        pairs, in order; built on the first call per tuple and then kept."""
-        vec = self._vectors.get(moves)
-        if vec is None:
-            vec = self._vectors[moves] = np.array([self.cost[mv] for mv in moves], dtype=float)
-            vec.flags.writeable = False
-        return vec
+        return self.vector.item(self.index[i, j])
 
 
 def movement_costs(g, emap: ErrorMap, model: str = "simple") -> MovementCosts:
     """Build the per-movement cost table for an error model."""
     if model not in ERROR_MODELS:
         raise NoiseError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
-    cost = {}
+    cost = []  # both directions of each edge in edge order, then each node's idle step
     for i, j in g.edges:
         e = emap.cnot_error[(i, j)]
         if model == "simple":
-            cost[(i, j)], cost[(j, i)] = -3.0 * math.log1p(-e), 0.0
+            cost += (-3.0 * math.log1p(-e), 0.0)
         else:
-            cost[(i, j)] = cost[(j, i)] = -3.0 * math.log1p(-split_cnot_error(e))
+            cost += (-3.0 * math.log1p(-split_cnot_error(e)),) * 2
     for v in range(g.node_count):
-        cost[(v, v)] = 0.0 if model == "simple" else -3.0 * math.log1p(
-            -idle_error(emap.t1[v], emap.t2[v], emap.cnot_duration))
-    return MovementCosts(model=model, cost=cost)
+        cost.append(0.0 if model == "simple" else -3.0 * math.log1p(
+            -idle_error(emap.t1[v], emap.t2[v], emap.cnot_duration)))
+    return MovementCosts(model, np.array(cost), texpand.graph_tables(g).move_index)
 
 
 def accumulated_error(cost: float) -> tuple[float, float]:

@@ -24,21 +24,20 @@ The rules, stated once:
   keeps its cost, and each of its moves stays the first minimum at its node.
 - Restarts.  A restart moves one qubit to the front of the routing order and
   routes every qubit again (Bennewitz, Burgard & Thrun, Robotics and
-  Autonomous Systems 2002).  A qubit with no walk left that is not first
-  moves to the front.  In ``near_optimal`` mode, a schedule that
-  ``solver.settled`` does not take against the floor moves the qubit whose
-  walk costs the most over its solo walk (the lowest on ties) to the front;
-  the planner stops at the first schedule the mode takes, or when that qubit
-  is first already, and keeps the cheapest schedule it found.  The other
-  modes take the first schedule.
-- Re-matching.  A qubit with no walk left that is first already has the pair
-  of it and its destination forbidden, with the pairs forbidden before; the
-  planner matches again and routes every qubit from scratch in the order of
-  the new matching.  There are at most as many restarts, and as many
-  re-matches, as there are qubits.  No schedule comes back when there is no
-  matching at the depth, when the forbidden pairs leave none (a qubit of a
-  team with a single destination that has no walk when first ends the plan
-  so), or when the budget runs out with a qubit still left with no walk.
+  Autonomous Systems 2002).  A qubit with no walk left moves to the front; it
+  is never first, as nothing blocks the first qubit routed and the trim keeps
+  its shortest walks to its destination, at most ``depth`` hops away.  In
+  ``near_optimal`` mode, a schedule that ``solver.settled`` does not take
+  against the floor moves the qubit whose walk costs the most over its solo
+  walk (the lowest on ties) to the front; the planner stops at the first
+  schedule the mode takes, or when that qubit is first already, and keeps the
+  cheapest schedule it found.  The other modes take the first schedule.
+- Re-matching.  Once the restarts, at most one per qubit, are spent, a qubit
+  left with no walk has the pair of it and its destination forbidden, with the
+  pairs forbidden before; the planner matches again and routes every qubit
+  from scratch in the order of the new matching, up to one re-match per qubit.
+  No schedule comes back when there is no matching at the depth, when the
+  forbidden pairs leave none, or when the re-matches run out.
 - The floor sums, over qubits, the cost of the cheapest walk of ``depth``
   steps from the qubit's source to any destination of its team over the
   team's trimmed moves, with no other qubit present (inf when a qubit has
@@ -146,7 +145,7 @@ def solo_walks(teg, costs) -> Walks:
     sources = [s for src in inst.sources for s in src]
     teams = [k for k, src in enumerate(inst.sources) for _ in src]
     team_cost = np.full((inst.team_count, depth, n_moves + 1), np.inf)
-    team_cost[..., :n_moves] = np.where(teg.mask, costs.vector(tab.moves), np.inf)
+    team_cost[..., :n_moves] = np.where(teg.mask, costs.vector, np.inf)
     targets = np.append(tab.targets, 0)  # the padding move's target is any node
     to_go = np.full((depth + 1, inst.team_count, g.node_count), np.inf)
     for k, dst in enumerate(inst.destinations):

@@ -9,7 +9,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 
 from . import bilp, plan, texpand
 from .instance import merge_teams, validate as validate_instance
@@ -136,18 +135,12 @@ def lower_bound_single_team(g, inst, cfg: RouteConfig | None = None) -> int:
     cfg = cfg or RouteConfig()
     sub = replace(cfg, presolve="dijkstra", depth_slack=0,
                   solver=SolverConfig(mode="feasible_first"))
-    status, _, found, _ = _deepen(g, merge_teams(inst), sub, _unit_costs(g))
+    tab = texpand.graph_tables(g)
+    unit = MovementCosts("simple", (tab.origins != tab.targets).astype(float), tab.move_index)
+    status, _, found, _ = _deepen(g, merge_teams(inst), sub, unit)
     if found is None:
         raise PresolveIncomplete(status)
     return found[0].depth
-
-
-@lru_cache(maxsize=32)
-def _unit_costs(g):
-    """``lower_bound_single_team``'s unit costs on ``g``, built once per graph
-    (graphs are immutable), so their cost vector is built once too."""
-    return MovementCosts("simple", {(i, j): float(i != j)
-                                    for i, j in texpand.graph_tables(g).moves})
 
 
 def solve_mqpf(g, emap, inst, cfg: RouteConfig | None = None) -> RoutingSolution:

@@ -30,6 +30,7 @@ class GraphTables:
     moves_from: np.ndarray  # (V, max out) movements leaving each node, ascending
     moves_into: np.ndarray  # (V, max in) movements entering each node, ascending
     swap_moves: np.ndarray  # (2|E|, max degree + 1) the movements of each swap row
+    move_index: dict = field(repr=False)  # (i, j) -> m, the inverse of ``moves``
     graph: object = field(repr=False)
     _hop_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -68,7 +69,7 @@ def graph_tables(g) -> GraphTables:
         moves=tuple(moves), origins=ends[0], targets=ends[1],
         moves_from=_frozen([np.flatnonzero(ends[0] == v) for v in nodes], len(moves)),
         moves_into=_frozen([np.flatnonzero(ends[1] == v) for v in nodes], len(moves)),
-        swap_moves=_frozen(swaps, len(moves)), graph=g)
+        swap_moves=_frozen(swaps, len(moves)), move_index=move_index, graph=g)
 
 
 @dataclass(frozen=True)

@@ -239,13 +239,17 @@ def test_movement_costs_pinned(layout, model):
     assert tuple(digests) == COST_PINS[layout, model]
 
 
-def test_cost_vector_follows_moves_and_is_built_once():
+def test_cost_vector_follows_moves():
     g = build_layout("grid:3x3")
     moves = texpand.graph_tables(g).moves
-    costs = movement_costs(g, sample_error_map(g, noise.HERON, 0), "extended")
-    vec = costs.vector(moves)
-    assert vec.tolist() == [costs.movement_cost(i, j) for i, j in moves]
-    assert costs.vector(moves) is vec and not vec.flags.writeable
+    emap = sample_error_map(g, noise.HERON, 0)
+    costs = movement_costs(g, emap, "extended")
+    assert len(costs.vector) == len(moves) and not costs.vector.flags.writeable
+    for m, (i, j) in enumerate(moves):
+        assert type(costs.movement_cost(i, j)) is float
+        assert costs.movement_cost(i, j) == costs.vector[m]
+    # tables compare by identity, never by their arrays
+    assert costs != movement_costs(g, emap, "extended")
 
 
 def test_accumulated_error():

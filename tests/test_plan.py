@@ -120,13 +120,14 @@ def stepwise_route(teg, costs, matched, order):
 def stepwise_plan_paths(teg, costs, mode=None):
     """Reference for ``plan.plan_paths``: the same planner in plain steps.
     The qubits are routed by fewest spare steps, except those moved to the
-    front, the latest first.  A qubit with no walk left moves to the front;
-    when it is first already, its matched destination is forbidden to it,
-    the front is cleared and everything is matched and routed again.  In
-    ``near_optimal`` mode, a schedule the mode does not settle moves its
-    qubit with the largest walk cost over its solo walk to the front, unless
-    that qubit is first.  Up to one restart and one re-match per qubit in
-    all; no matching ends the plan.  The cheapest schedule found is kept."""
+    front, the latest first.  A qubit with no walk left, never the first routed
+    (asserted here), moves to the front; once the restarts are spent, its
+    matched destination is forbidden to it instead, the front is cleared and
+    everything is matched and routed again.  In ``near_optimal`` mode, a
+    schedule the mode does not settle moves its qubit with the largest walk
+    cost over its solo walk to the front, unless that qubit is first.  Up to
+    one restart and one re-match per qubit in all; no matching ends the plan.
+    The cheapest schedule found is kept."""
     walks = plan.solo_walks(teg, costs)
     sources, solo = walks.sources, walks.solo
     solo = solo.tolist()
@@ -143,6 +144,7 @@ def stepwise_plan_paths(teg, costs, mode=None):
         rest.sort(key=lambda a: (depth - hops_from(sources[a]).item(matched[a]), a))
         order = front + rest
         paths, spent, worst = stepwise_route(teg, costs, matched, order)
+        assert not (paths is None and worst == order[0])
         if paths is not None:
             cost = 0.0
             for c in spent:
@@ -185,8 +187,9 @@ def test_table_walk_plans_as_the_stepwise_walk():
         cases.append((desk, inst, costs, lower_bound_matching(desk, inst)))
     planned = improved = 0
     for g, inst, costs, depth in cases:
-        unit = MovementCosts("simple", {m: float(m[0] != m[1])
-                                        for m in texpand.graph_tables(g).moves})
+        tab = texpand.graph_tables(g)
+        unit = MovementCosts("simple", (tab.origins != tab.targets).astype(float),
+                             tab.move_index)
         for inst, costs in ((inst, costs), (merge_teams(inst), unit)):
             teg = route.expansion_at_depth(g, inst, depth)
             paths, floor = plan_with_floor(teg, costs)
@@ -204,7 +207,7 @@ def loop_cost_to_go(teg, costs):
     step t = 0..depth, team and node, the cheapest walk on to a destination
     of the team over its trimmed moves."""
     inst, depth, tab = teg.instance, teg.depth, teg.tables
-    cost, mask = costs.vector(tab.moves).tolist(), teg.mask.tolist()
+    cost, mask = costs.vector.tolist(), teg.mask.tolist()
     nodes = range(teg.graph.node_count)
     to_go = [[[math.inf] * len(nodes) for _ in inst.sources] for _ in range(depth + 1)]
     for k, dst in enumerate(inst.destinations):
@@ -240,7 +243,7 @@ def test_forest_moves_attain_the_loop_cost_to_go():
     for g, inst, costs in cases:
         teg = route.expansion_at_depth(g, inst, lower_bound_matching(g, inst))
         tab = teg.tables
-        cost = costs.vector(tab.moves).tolist()
+        cost = costs.vector.tolist()
         to_go = loop_cost_to_go(teg, costs)
         best = plan.solo_walks(teg, costs).best
         forest = set()

@@ -196,9 +196,9 @@ def test_single_team_bound_pinned(monkeypatch):
         assert (model.objective[~moving] == 0.0).all()
 
 
-def test_single_team_presolve_builds_its_unit_costs_once_per_graph(monkeypatch):
-    # two single_team solves on one graph hand their merged solves one cost
-    # table, whose cost vector is built once
+def test_single_team_presolve_solves_on_unit_costs_in_movement_order(monkeypatch):
+    # each single_team solve hands its merged solve a cost of 1.0 on every
+    # swap direction and 0.0 on every idle step, in movement order
     merged = []
     deepen = route._deepen
 
@@ -212,8 +212,9 @@ def test_single_team_presolve_builds_its_unit_costs_once_per_graph(monkeypatch):
         g = build_grid(2, 3)
         sol = solve_mqpf(g, uniform_error_map(g), random_instance(g, 3, "mixed", seed), cfg)
         assert sol.solved
-    assert len(merged) == 2 and merged[0] is merged[1]
-    assert list(merged[0]._vectors) == [texpand.graph_tables(g).moves]
+    assert len(merged) == 2
+    unit = [float(i != j) for i, j in texpand.graph_tables(g).moves]
+    assert all(costs.vector.tolist() == unit for costs in merged)
 
 
 def corrupt_plans(monkeypatch):
